@@ -11,7 +11,8 @@ a bitmask over the non-edge list marking which candidate edges it already
 colors properly.  A subset covered by a cached coloring needs no new search;
 only cache misses run the exact solver.  Cache hits can never flip a verdict:
 a cached coloring that covers a subset is itself a proper coloring of the
-augmented graph.
+augmented graph.  The SAT restriction scan shares the same cache for its
+satisfying models.
 """
 from __future__ import annotations
 
@@ -37,11 +38,15 @@ class GraphResilienceVerdict:
     subsets_checked: int
 
 
-class _ColoringCache:
-    """Most-recently-hit list of good-edge bitmasks over the non-edge list."""
+class _CertificateCache:
+    """Most-recently-hit list of certificate bitmasks, at most _CACHE_LIMIT.
 
-    def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        self.pairs = pairs
+    A certificate (a coloring, a satisfying model) is stored as the mask of
+    the universe elements it covers; a query mask is covered when it is a
+    subset of some stored mask.
+    """
+
+    def __init__(self) -> None:
         self.masks: list[int] = []
 
     def covers(self, subset_mask: int) -> bool:
@@ -53,12 +58,8 @@ class _ColoringCache:
                 return True
         return False
 
-    def add(self, colors: list[int]) -> None:
-        good = 0
-        for i, (u, v) in enumerate(self.pairs):
-            if colors[u] != colors[v]:
-                good |= 1 << i
-        self.masks.insert(0, good)
+    def add(self, mask: int) -> None:
+        self.masks.insert(0, mask)
         del self.masks[_CACHE_LIMIT:]
 
 
@@ -77,12 +78,12 @@ def _scan_range(
     size: int,
     start: int,
     stop: int,
-    cache: _ColoringCache | None = None,
+    cache: _CertificateCache | None = None,
 ) -> tuple[int, tuple[tuple[int, int], ...]] | None:
     """Check subset ranks [start, stop); return (rank, subset) of the first
     non-k-colorable augmentation, or None if all pass."""
     if cache is None:
-        cache = _ColoringCache(candidates)
+        cache = _CertificateCache()
     m = len(candidates)
     combos = _combinations_from(m, size, start)
     for rank in range(start, stop):
@@ -96,7 +97,11 @@ def _scan_range(
         colors = _solve_augmented(g, k, chosen)
         if colors is None:
             return rank, chosen
-        cache.add(colors)
+        good = 0
+        for i, (u, v) in enumerate(candidates):
+            if colors[u] != colors[v]:
+                good |= 1 << i
+        cache.add(good)
     return None
 
 
@@ -147,7 +152,7 @@ def _find_first_failure(
     candidates: tuple[tuple[int, int], ...],
     size: int,
     threads: int,
-    cache: _ColoringCache | None,
+    cache: _CertificateCache | None,
 ) -> tuple[tuple[int, tuple[tuple[int, int], ...]] | None, int]:
     """Return ((rank, subset) of the lexicographically first failing subset or
     None, total subset count)."""
@@ -209,7 +214,7 @@ def max_graph_resilience(g: Graph, k: int, *, threads: int = 1) -> int | str:
     if g.n <= k:
         return SATURATED
     candidates = non_edges(g)
-    cache = _ColoringCache(candidates)
+    cache = _CertificateCache()
     for r in range(len(candidates) + 1):
         failure, _ = _find_first_failure(g, k, candidates, r, threads, cache)
         if failure is not None:

@@ -4,15 +4,23 @@ Variables are positive integers 1..num_vars; a literal is a signed variable.
 A formula survives a restriction when it stays satisfiable after the
 restricted variables are pinned to their values.  It is r-resilient when it
 survives every restriction of exactly r variables.
+
+There is one solver: an incremental DPLL built once per formula, which
+answers each restriction as a set of assumed literals and undoes them
+afterwards.  Resilience scans keep a small cache of the models found so
+far; a restriction that agrees with a cached model is survived without a
+solve.  Cache hits can never flip a verdict, because the cached model is a
+model of the restricted formula.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .graphs import ParseError
+from .resilience import _CertificateCache
 
 Clause = tuple[int, ...]
 Assignment = dict[int, bool]
@@ -152,55 +160,66 @@ def serialize_cnf(phi: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _search(clauses: tuple[Clause, ...], num_vars: int, assumed: Mapping[int, bool]) -> list[bool | None] | None:
-    """Branch on the lowest unassigned variable, false before true, with
-    unit propagation run to fixpoint between decisions.  Propagation uses
-    two watched literals per clause so only clauses watching a newly
-    falsified literal are visited.  Returns the assignment array
-    (1-indexed) or None."""
-    n = num_vars
-    assign: list[bool | None] = [None] * (n + 1)
+class _Solver:
+    """Exact DPLL over one formula, reused across calls under assumptions.
 
-    def value(lit: int) -> bool | None:
-        v = assign[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
+    The constructor builds the watch lists once and propagates the unit
+    clauses once (the level-0 trail).  Each ``solve`` pushes its assumed
+    literals, branches on the lowest unassigned variable, false before true,
+    with unit propagation run to fixpoint between decisions, and always
+    undoes back to the level-0 trail before it returns.  Propagation uses
+    two watched literals per clause, so only clauses watching a newly
+    falsified literal are visited; watches need no repair on undo.
+    """
 
-    # watches[lit + n] holds the indices of clauses currently watching lit;
-    # wslots[j] holds the two watched positions inside clause j
-    watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
-    wslots: list[list[int]] = []
-    trail: list[int] = []
-    pending: list[int] = []
+    def __init__(self, phi: CnfFormula):
+        n = phi.num_vars
+        self.num_vars = n
+        self.clauses = clauses = phi.clauses
+        # value[lit] is the truth value of literal lit, None while unassigned;
+        # watches[lit] holds the indices of clauses currently watching lit.
+        # Negative literals index from the end of these 2n+1 lists.
+        self.value: list[bool | None] = [None] * (2 * n + 1)
+        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        # wslots[j] holds the two watched positions inside clause j
+        self.wslots: list[list[int]] = []
+        self.trail: list[int] = []
+        self.pending: list[int] = []
+        self.base = 0
+        self.consistent = not phi.has_empty_clause
+        if not self.consistent:
+            return
+        for j, cl in enumerate(clauses):
+            self.wslots.append([0, min(1, len(cl) - 1)])
+            self.watches[cl[0]].append(j)
+            if len(cl) > 1:
+                self.watches[cl[1]].append(j)
+        self.consistent = all(self._assign(cl[0]) for cl in clauses if len(cl) == 1) and self._propagate()
+        self.pending.clear()
+        self.base = len(self.trail)
 
-    def assign_true(lit: int) -> bool:
-        cur = value(lit)
+    def _assign(self, lit: int) -> bool:
+        """Make lit true; False when it is already false."""
+        value = self.value
+        cur = value[lit]
         if cur is not None:
             return cur
-        assign[abs(lit)] = lit > 0
-        trail.append(abs(lit))
-        pending.append(lit)
+        value[lit] = True
+        value[-lit] = False
+        self.trail.append(lit)
+        self.pending.append(lit)
         return True
 
-    for j, cl in enumerate(clauses):
-        if not cl:
-            return None
-        wslots.append([0, min(1, len(cl) - 1)])
-        watches[cl[0] + n].append(j)
-        if len(cl) > 1:
-            watches[cl[1] + n].append(j)
-    for var, val in assumed.items():
-        if not assign_true(var if val else -var):
-            return None
-    for cl in clauses:
-        if len(cl) == 1 and not assign_true(cl[0]):
-            return None
-
-    def propagate() -> bool:
+    def _propagate(self) -> bool:
+        value = self.value
+        watches = self.watches
+        wslots = self.wslots
+        clauses = self.clauses
+        trail = self.trail
+        pending = self.pending
         while pending:
             falsified = -pending.pop()
-            occ = watches[falsified + n]
+            occ = watches[falsified]
             i = 0
             while i < len(occ):
                 j = occ[i]
@@ -208,62 +227,83 @@ def _search(clauses: tuple[Clause, ...], num_vars: int, assumed: Mapping[int, bo
                 slots = wslots[j]
                 side = 0 if cl[slots[0]] == falsified else 1
                 other = cl[slots[1 - side]]
-                if value(other) is True:
+                if value[other] is True:
                     i += 1
                     continue
                 for p, lit in enumerate(cl):
-                    if p != slots[0] and p != slots[1] and value(lit) is not False:
+                    if p != slots[0] and p != slots[1] and value[lit] is not False:
                         slots[side] = p
-                        watches[lit + n].append(j)
+                        watches[lit].append(j)
                         occ[i] = occ[-1]
                         occ.pop()
                         break
                 else:
-                    if other == falsified or value(other) is False:
+                    if other == falsified or value[other] is False:
                         return False
-                    assign[abs(other)] = other > 0
-                    trail.append(abs(other))
+                    value[other] = True
+                    value[-other] = False
+                    trail.append(other)
                     pending.append(other)
                     i += 1
         return True
 
-    if not propagate():
-        return None
+    def _undo(self, mark: int) -> None:
+        value = self.value
+        trail = self.trail
+        while len(trail) > mark:
+            lit = trail.pop()
+            value[lit] = value[-lit] = None
 
-    # iterative DPLL; (variable, trail length at decision, already flipped)
-    decisions: list[tuple[int, int, bool]] = []
-    cursor = 1
-    while True:
-        while cursor <= n and assign[cursor] is not None:
-            cursor += 1
-        if cursor > n:
-            return assign
-        var = cursor
-        decisions.append((var, len(trail), False))
-        ok = assign_true(-var) and propagate()
-        while not ok:
-            pending.clear()
-            if not decisions:
+    def solve(self, assumptions: Iterable[int] = ()) -> list[bool] | None:
+        """A model extending the assumed literals, or None.
+
+        The model lists the values of variables 1..num_vars in order.
+        """
+        if not self.consistent:
+            return None
+        try:
+            if not (all(self._assign(lit) for lit in assumptions) and self._propagate()):
                 return None
-            var, mark, flipped = decisions.pop()
-            while len(trail) > mark:
-                assign[trail.pop()] = None
-            if flipped:
-                continue
-            decisions.append((var, mark, True))
-            cursor = var + 1
-            ok = assign_true(var) and propagate()
+            value = self.value
+            n = self.num_vars
+            # (variable, trail length at decision, already flipped)
+            decisions: list[tuple[int, int, bool]] = []
+            cursor = 1
+            while True:
+                while cursor <= n and value[cursor] is not None:
+                    cursor += 1
+                if cursor > n:
+                    return value[1 : n + 1]
+                var = cursor
+                decisions.append((var, len(self.trail), False))
+                ok = self._assign(-var) and self._propagate()
+                while not ok:
+                    self.pending.clear()
+                    if not decisions:
+                        return None
+                    var, mark, flipped = decisions.pop()
+                    self._undo(mark)
+                    if flipped:
+                        continue
+                    decisions.append((var, mark, True))
+                    cursor = var + 1
+                    ok = self._assign(var) and self._propagate()
+        finally:
+            self.pending.clear()
+            self._undo(self.base)
 
 
 def is_satisfiable(phi: CnfFormula) -> Assignment | None:
     """Return a total satisfying assignment (unassigned variables default to
-    False), or None when the formula is unsatisfiable."""
-    if phi.has_empty_clause:
+    False), or None when the formula is unsatisfiable.
+
+    Runs the same incremental solver as the resilience scans, with no
+    assumptions.
+    """
+    model = _Solver(phi).solve()
+    if model is None:
         return None
-    got = _search(phi.clauses, phi.num_vars, {})
-    if got is None:
-        return None
-    return {v: bool(got[v]) for v in range(1, phi.num_vars + 1)}
+    return dict(enumerate(model, start=1))
 
 
 def _is_tautology(clause: Clause) -> bool:
@@ -298,8 +338,37 @@ def restrict(phi: CnfFormula, rho: Restriction) -> CnfFormula:
     return CnfFormula(phi.num_vars, tuple(out))
 
 
-def _solvable_under(phi: CnfFormula, assumed: Mapping[int, bool]) -> bool:
-    return _search(phi.clauses, phi.num_vars, assumed) is not None
+def _literal_mask(fixes: Iterable[tuple[int, bool]]) -> int:
+    """The literals that (variable, value) pairs make true, as a mask with
+    bit 2*variable + value."""
+    mask = 0
+    for var, val in fixes:
+        mask |= 1 << (2 * var + val)
+    return mask
+
+
+def _first_failure(
+    solver: _Solver, cache: _CertificateCache, size: int
+) -> tuple[Restriction | None, int]:
+    """Scan the size-restrictions in canonical order; return the first one
+    that kills the formula (or None) and the number checked.
+
+    A restriction whose literal mask lies inside a cached model's mask is
+    survived without a solve, and every solved model joins the cache.  A hit
+    only ever marks a restriction as survived, so it cannot move the witness
+    or the count.
+    """
+    checked = 0
+    for subset in itertools.combinations(range(1, solver.num_vars + 1), size):
+        for values in itertools.product((False, True), repeat=size):
+            checked += 1
+            if cache.covers(_literal_mask(zip(subset, values))):
+                continue
+            model = solver.solve([var if val else -var for var, val in zip(subset, values)])
+            if model is None:
+                return Restriction.from_pairs(zip(subset, values)), checked
+            cache.add(_literal_mask(enumerate(model, start=1)))
+    return None, checked
 
 
 def is_r_resilient(phi: CnfFormula, r: int) -> SatResilienceVerdict:
@@ -308,19 +377,21 @@ def is_r_resilient(phi: CnfFormula, r: int) -> SatResilienceVerdict:
     Restrictions are enumerated in canonical order: variable subsets
     lexicographically, then value vectors in ascending binary order (False
     before True, first variable most significant).  The witness, if any, is
-    the first failing restriction in that order.
+    the first failing restriction in that order; restrictions_checked counts
+    restrictions up to and including the witness (all of them when
+    resilient).
+
+    One incremental solver serves the whole scan, each restriction pushed as
+    assumptions.  Models found so far are kept in a small most-recently-hit
+    cache; a restriction that agrees with a cached model is survived without
+    a solve.  Cache hits can never flip a verdict: the cached model is itself
+    a model of the restricted formula.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     size = min(r, phi.num_vars)
-    checked = 0
-    for subset in itertools.combinations(range(1, phi.num_vars + 1), size):
-        for values in itertools.product((False, True), repeat=size):
-            checked += 1
-            if not _solvable_under(phi, dict(zip(subset, values))):
-                witness = Restriction.from_pairs(zip(subset, values))
-                return SatResilienceVerdict(False, witness, size, checked)
-    return SatResilienceVerdict(True, None, size, checked)
+    witness, checked = _first_failure(_Solver(phi), _CertificateCache(), size)
+    return SatResilienceVerdict(witness is None, witness, size, checked)
 
 
 def max_sat_resilience(phi: CnfFormula) -> int | str:
@@ -328,11 +399,17 @@ def max_sat_resilience(phi: CnfFormula) -> int | str:
 
     Returns SATURATED when phi survives fixing all num_vars variables (only
     possible when every clause is a tautology); raises for unsatisfiable
-    input, which is not even 0-resilient.
+    input, which is not even 0-resilient.  One solver and one model cache,
+    seeded with the first model found, serve the whole sweep over r.
     """
-    if is_satisfiable(phi) is None:
+    solver = _Solver(phi)
+    model = solver.solve()
+    if model is None:
         raise ValueError("formula is not even 0-resilient")
+    cache = _CertificateCache()
+    cache.add(_literal_mask(enumerate(model, start=1)))
     for r in range(1, phi.num_vars + 1):
-        if not is_r_resilient(phi, r).resilient:
+        witness, _ = _first_failure(solver, cache, r)
+        if witness is not None:
             return r - 1
     return SATURATED

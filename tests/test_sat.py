@@ -1,10 +1,12 @@
 """CNF model, DIMACS round-trips, satisfiability, restriction, resilience."""
 import itertools
+import math
 import random
 
 import pytest
 
 from conftest import brute_satisfiable, oracle_sat_first_failure, random_cnf
+from rescol import sat
 from rescol.graphs import ParseError
 from rescol.reductions import blow_up
 from rescol.sat import (
@@ -242,6 +244,12 @@ def test_resilience_monotone_in_r():
             best = best and ok
 
 
+def canonical_restrictions(num_vars, size):
+    for subset in itertools.combinations(range(1, num_vars + 1), size):
+        for values in itertools.product((False, True), repeat=size):
+            yield tuple(zip(subset, values))
+
+
 def test_matches_oracle_on_random_formulas():
     rng = random.Random(25)
     for _ in range(150):
@@ -251,9 +259,12 @@ def test_matches_oracle_on_random_formulas():
         expected = oracle_sat_first_failure(phi, r)
         if expected is None:
             assert verdict.resilient and verdict.witness is None
+            assert verdict.restrictions_checked == math.comb(phi.num_vars, r) * 2**r
         else:
             assert not verdict.resilient
             assert verdict.witness.fixes == expected
+            position = list(canonical_restrictions(phi.num_vars, r)).index(expected) + 1
+            assert verdict.restrictions_checked == position
 
 
 def test_witness_restriction_breaks_formula():
@@ -272,6 +283,37 @@ def test_max_sat_resilience_examples():
     assert max_sat_resilience(CnfFormula.make(1, [(1,)])) == 0
     phi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, -3)]), 2)
     assert max_sat_resilience(phi) >= 1
+
+
+def test_max_sat_resilience_matches_oracle():
+    """One solver and model cache serve the whole sweep over r."""
+    rng = random.Random(28)
+    for _ in range(120):
+        phi = random_cnf(rng, max_vars=7, max_clauses=5, max_width=5)
+        if not brute_satisfiable(phi):
+            continue
+        survived = [r for r in range(phi.num_vars + 1) if oracle_sat_first_failure(phi, r) is None]
+        expected = SATURATED if len(survived) == phi.num_vars + 1 else max(survived)
+        assert max_sat_resilience(phi) == expected
+
+
+def test_model_cache_solver_calls_pinned(monkeypatch):
+    """Perf gate: the model cache answers most restrictions of a blow-up scan
+    without a solve; a cache regression changes this count."""
+    calls = 0
+    solve = sat._Solver.solve
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return solve(self, *args)
+
+    monkeypatch.setattr(sat._Solver, "solve", counting)
+    psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
+    verdict = is_r_resilient(psi, 2)
+    assert verdict.resilient and verdict.restrictions_checked == math.comb(9, 2) * 4
+    assert calls == 37
+    assert calls < verdict.restrictions_checked
 
 
 def test_max_sat_resilience_errors_on_unsat():

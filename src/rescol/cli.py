@@ -2,7 +2,8 @@
 
 Reports are line-oriented ``key=value`` records; lines starting with ``#``
 carry commentary such as wall-clock time and are not part of the stable
-record, so reports are bit-identical across ``--threads`` settings.  Exit
+record.  Resilience scans run in one process; ``--threads`` is still
+accepted for existing scripts and changes nothing in a report.  Exit
 codes: 0 for a positive verdict or successful output, 1 for a negative
 verdict, 2 for input or usage errors, 3 for an exceeded size budget.
 
@@ -50,10 +51,13 @@ class UsageError(Exception):
 
 
 def _read_text(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path or 'stdin'} is not UTF-8 text: {exc}") from None
 
 
 def _load_graph(path: str | None) -> Graph:
@@ -78,6 +82,15 @@ def _edge_witness(pairs: tuple[tuple[int, int], ...]) -> str:
     return ",".join(f"{u + 1}-{v + 1}" for u, v in pairs)
 
 
+def _fixes_witness(fixes: tuple[tuple[int, bool], ...]) -> str:
+    return ",".join(f"x{var}={1 if value else 0}" for var, value in fixes)
+
+
+def _check_min(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise UsageError(f"{flag} must be >= {low}")
+
+
 def _budget() -> int | None:
     raw = os.environ.get("RESILIENCE_BUDGET")
     if raw is None:
@@ -93,6 +106,7 @@ def _budget() -> int | None:
 
 def _cmd_color(args) -> int:
     started = time.perf_counter()
+    _check_min("--k", args.k, 1)
     g = _load_graph(args.file)
     out = sys.stdout
     _emit(out, "command", "color")
@@ -110,47 +124,38 @@ def _cmd_color(args) -> int:
 def _cmd_resilience(args) -> int:
     started = time.perf_counter()
     out = sys.stdout
+    _check_min("--r", args.r, 0)
     if args.mode == "graph":
         if args.k is None:
             raise UsageError("graph mode requires --k")
+        _check_min("--k", args.k, 1)
         g = _load_graph(args.file)
-        _emit(out, "command", "resilience")
-        _emit(out, "mode", "graph")
-        _emit(out, "r", args.r)
-        _emit(out, "k", args.k)
-        _emit(out, "n", g.n)
-        _emit(out, "edges", len(g.edges))
-        verdict = is_r_resiliently_k_colorable(g, args.r, args.k, threads=args.threads)
-        if verdict.r < args.r:
-            # fewer non-edges than r: the check saturates at the full set
-            _emit(out, "effective_r", verdict.r)
-            if g.n <= args.k:
-                _emit(out, "saturated", True)
-        resilient = verdict.resilient
-        _emit(out, "resilient", resilient)
-        if verdict.witness is not None:
-            _emit(out, "witness", _edge_witness(verdict.witness))
-        _emit(out, "subsets_checked", verdict.subsets_checked)
+        sizes = (("k", args.k), ("n", g.n), ("edges", len(g.edges)))
+        verdict = is_r_resiliently_k_colorable(g, args.r, args.k)
+        counter = ("subsets_checked", verdict.subsets_checked)
+        witness = None if verdict.witness is None else _edge_witness(verdict.witness)
+        # adding every non-edge leaves K_n, which is k-colorable only for n <= k
+        saturated = g.n <= args.k
     else:
         phi = _load_cnf(args.file)
-        _emit(out, "command", "resilience")
-        _emit(out, "mode", "sat")
-        _emit(out, "r", args.r)
-        _emit(out, "num_vars", phi.num_vars)
-        _emit(out, "clauses", len(phi.clauses))
-        sat_verdict = is_r_resilient(phi, args.r)
-        if sat_verdict.r < args.r:
-            _emit(out, "effective_r", sat_verdict.r)
-        resilient = sat_verdict.resilient
-        _emit(out, "resilient", resilient)
-        if sat_verdict.witness is not None:
-            fixes = ",".join(
-                f"x{var}={1 if value else 0}" for var, value in sat_verdict.witness.fixes
-            )
-            _emit(out, "witness", fixes)
-        _emit(out, "restrictions_checked", sat_verdict.restrictions_checked)
+        sizes = (("num_vars", phi.num_vars), ("clauses", len(phi.clauses)))
+        verdict = is_r_resilient(phi, args.r)
+        counter = ("restrictions_checked", verdict.restrictions_checked)
+        witness = None if verdict.witness is None else _fixes_witness(verdict.witness.fixes)
+        saturated = False
+    for key, value in (("command", "resilience"), ("mode", args.mode), ("r", args.r)) + sizes:
+        _emit(out, key, value)
+    if verdict.r < args.r:
+        # fewer candidates than r: the check saturates at the full set
+        _emit(out, "effective_r", verdict.r)
+        if saturated:
+            _emit(out, "saturated", True)
+    _emit(out, "resilient", verdict.resilient)
+    if witness is not None:
+        _emit(out, "witness", witness)
+    _emit(out, *counter)
     _emit_time(out, started)
-    return 0 if resilient else 1
+    return 0 if verdict.resilient else 1
 
 
 def _cmd_reduce(args) -> int:
@@ -165,6 +170,7 @@ def _cmd_reduce(args) -> int:
     if args.kind == "blowup":
         if args.s is None:
             raise UsageError("blowup requires --s")
+        _check_min("--s", args.s, 1)
         psi = blow_up(phi, args.s, clause_budget=budget)
         artifact = serialize_cnf(psi)
     elif args.kind == "shrink":
@@ -228,7 +234,7 @@ def _cmd_classics(args) -> int:
     all_match = True
     for name, k, published, exact in _CLASSICS_TABLE:
         g = classic(name)
-        value = max_graph_resilience(g, k, threads=args.threads)
+        value = max_graph_resilience(g, k)
         chi = chromatic_number(g)
         match = value == published if exact else (value != SATURATED and value >= published)
         all_match = all_match and match
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="process parallelism for resilience scans (verdicts are thread-count independent)",
+        help="accepted for compatibility; resilience scans run in one process",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -309,17 +315,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_min("--threads", args.threads, 1)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ParseError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

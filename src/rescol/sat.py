@@ -20,12 +20,10 @@ from functools import cached_property
 from typing import Iterable
 
 from .graphs import ParseError
-from .resilience import _CertificateCache
+from .resilience import SATURATED, _bits, _first_uncovered
 
 Clause = tuple[int, ...]
 Assignment = dict[int, bool]
-
-SATURATED = "saturated"
 
 
 @dataclass(frozen=True)
@@ -103,17 +101,25 @@ class SatResilienceVerdict:
 
 
 def parse_cnf(text: str) -> CnfFormula:
-    """Read DIMACS CNF: "p cnf n m" header, then one 0-terminated clause per line.
+    """Read DIMACS CNF: a "p cnf n m" header, then m clauses, each a run of
+    literals ended by 0.
 
-    Comment lines start with "c".  Literal order inside clauses is preserved.
+    Clauses may share a line or span several lines.  Lines starting with "c"
+    are comments, and a line starting with "%" ends the input (the SATLIB
+    trailer).  Literal order inside clauses is preserved.  Errors name the
+    offending line.
     """
     num_vars = None
     expected = None
     clauses: list[Clause] = []
+    body: list[int] = []
+    last = (0, "")  # the last clause line, named when its clause stays open
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):
+            break
         fields = line.split()
         if fields[0] == "p":
             if num_vars is not None:
@@ -133,20 +139,27 @@ def parse_cnf(text: str) -> CnfFormula:
             lits = [int(tok) for tok in fields]
         except ValueError:
             raise ParseError(f"line {lineno}: malformed clause {line!r}") from None
-        if not lits or lits[-1] != 0:
-            raise ParseError(f"line {lineno}: missing terminating 0 {line!r}")
-        body = lits[:-1]
-        if 0 in body:
-            raise ParseError(f"line {lineno}: stray 0 inside clause {line!r}")
-        if not body:
-            raise ParseError(f"line {lineno}: empty clause {line!r}")
-        for lit in body:
-            if abs(lit) > num_vars:
-                raise ParseError(f"line {lineno}: variable out of range {line!r}")
-        clauses.append(tuple(body))
+        for lit in lits:
+            if lit:
+                if abs(lit) > num_vars:
+                    raise ParseError(f"line {lineno}: variable out of range {line!r}")
+                body.append(lit)
+            elif not body:
+                raise ParseError(f"line {lineno}: empty clause {line!r}")
+            elif len(clauses) == expected:
+                raise ParseError(
+                    f"line {lineno}: stray 0 closes clause {expected + 1} "
+                    f"of {expected} announced {line!r}"
+                )
+            else:
+                clauses.append(tuple(body))
+                body = []
+        last = (lineno, line)
+    if body:
+        raise ParseError(f"line {last[0]}: missing terminating 0 {last[1]!r}")
     if num_vars is None:
         raise ParseError("missing 'p cnf' header")
-    if expected is not None and expected != len(clauses):
+    if expected != len(clauses):
         raise ParseError(f"header announced {expected} clauses, found {len(clauses)}")
     return CnfFormula(num_vars, tuple(clauses))
 
@@ -338,37 +351,38 @@ def restrict(phi: CnfFormula, rho: Restriction) -> CnfFormula:
     return CnfFormula(phi.num_vars, tuple(out))
 
 
-def _literal_mask(fixes: Iterable[tuple[int, bool]]) -> int:
-    """The literals that (variable, value) pairs make true, as a mask with
-    bit 2*variable + value."""
-    mask = 0
-    for var, val in fixes:
-        mask |= 1 << (2 * var + val)
-    return mask
+def _model_mask(model: list[bool]) -> int:
+    """The literals a model makes true, as a mask with bit 2*variable + value."""
+    return sum(1 << (2 * var + val) for var, val in enumerate(model, start=1))
 
 
-def _first_failure(
-    solver: _Solver, cache: _CertificateCache, size: int
-) -> tuple[Restriction | None, int]:
+def _fixes(mask: int) -> list[tuple[int, bool]]:
+    """The (variable, value) pairs of a literal mask, by ascending variable."""
+    return [(bit >> 1, bool(bit & 1)) for bit in _bits(mask)]
+
+
+def _first_failure(solver: _Solver, certs: list[int], size: int) -> tuple[Restriction | None, int]:
     """Scan the size-restrictions in canonical order; return the first one
     that kills the formula (or None) and the number checked.
 
-    A restriction whose literal mask lies inside a cached model's mask is
-    survived without a solve, and every solved model joins the cache.  A hit
-    only ever marks a restriction as survived, so it cannot move the witness
-    or the count.
+    A restriction is the mask of the literals it makes true, so the shared
+    scan can answer it from cached models; only a cache miss or the witness
+    is decoded back to (variable, value) pairs.
     """
-    checked = 0
-    for subset in itertools.combinations(range(1, solver.num_vars + 1), size):
-        for values in itertools.product((False, True), repeat=size):
-            checked += 1
-            if cache.covers(_literal_mask(zip(subset, values))):
-                continue
-            model = solver.solve([var if val else -var for var, val in zip(subset, values)])
-            if model is None:
-                return Restriction.from_pairs(zip(subset, values)), checked
-            cache.add(_literal_mask(enumerate(model, start=1)))
-    return None, checked
+    literals = [(1 << 2 * var, 2 << 2 * var) for var in range(1, solver.num_vars + 1)]
+    masks = map(
+        sum,
+        itertools.chain.from_iterable(
+            itertools.product(*pairs) for pairs in itertools.combinations(literals, size)
+        ),
+    )
+
+    def solve(mask: int) -> int | None:
+        model = solver.solve([var if val else -var for var, val in _fixes(mask)])
+        return None if model is None else _model_mask(model)
+
+    failure, checked = _first_uncovered(masks, solve, certs)
+    return (None if failure is None else Restriction(tuple(_fixes(failure)))), checked
 
 
 def is_r_resilient(phi: CnfFormula, r: int) -> SatResilienceVerdict:
@@ -390,7 +404,7 @@ def is_r_resilient(phi: CnfFormula, r: int) -> SatResilienceVerdict:
     if r < 0:
         raise ValueError("r must be >= 0")
     size = min(r, phi.num_vars)
-    witness, checked = _first_failure(_Solver(phi), _CertificateCache(), size)
+    witness, checked = _first_failure(_Solver(phi), [], size)
     return SatResilienceVerdict(witness is None, witness, size, checked)
 
 
@@ -406,10 +420,9 @@ def max_sat_resilience(phi: CnfFormula) -> int | str:
     model = solver.solve()
     if model is None:
         raise ValueError("formula is not even 0-resilient")
-    cache = _CertificateCache()
-    cache.add(_literal_mask(enumerate(model, start=1)))
+    certs = [_model_mask(model)]
     for r in range(1, phi.num_vars + 1):
-        witness, _ = _first_failure(solver, cache, r)
+        witness, _ = _first_failure(solver, certs, r)
         if witness is not None:
             return r - 1
     return SATURATED

@@ -336,3 +336,43 @@ def test_missing_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["color", "{graph}", "--k", "0"],
+        ["resilience", "{graph}", "--mode", "graph", "--r", "-1", "--k", "3"],
+        ["resilience", "{graph}", "--mode", "graph", "--r", "1", "--k", "0"],
+        ["resilience", "{cnf}", "--mode", "sat", "--r", "-1"],
+        ["reduce", "{cnf}", "--kind", "blowup", "--s", "0"],
+        ["--threads", "0", "resilience", "{graph}", "--mode", "graph", "--r", "1", "--k", "3"],
+        ["color", "{self_loop}", "--k", "3"],
+        ["color", "{out_of_range}", "--k", "3"],
+        ["color", "{binary}", "--k", "3"],
+        ["resilience", "{binary}", "--mode", "sat", "--r", "1"],
+    ],
+)
+def test_bad_input_exits_two(tmp_path, capsys, argv):
+    files = {
+        "graph": write_graph(tmp_path, classic("petersen")),
+        "cnf": write_cnf(tmp_path, CnfFormula.make(2, [(1, 2)])),
+        "self_loop": tmp_path / "loop.col",
+        "out_of_range": tmp_path / "range.col",
+        "binary": tmp_path / "binary.bin",
+    }
+    files["self_loop"].write_text("p edge 3 1\ne 2 2\n")
+    files["out_of_range"].write_text("p edge 3 1\ne 1 4\n")
+    files["binary"].write_bytes(b"p edge 3 1\n\xff\xfe\x00\x81\n")
+    rc = main([arg.format(**files) for arg in argv])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_library_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    def broken(g, k):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("rescol.cli.is_k_colorable", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["color", write_graph(tmp_path, classic("petersen")), "--k", "3"])

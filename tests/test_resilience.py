@@ -1,4 +1,4 @@
-"""Edge-addition resilience: verdicts, witnesses, maxima, parallel determinism."""
+"""Edge-addition resilience: verdicts, witnesses, maxima, solver-call pins."""
 import itertools
 import random
 
@@ -16,9 +16,9 @@ from rescol.graphs import (
     complete_plus_isolated,
     non_edges,
 )
+from rescol import resilience
 from rescol.resilience import (
     SATURATED,
-    _unrank_combination,
     is_r_resiliently_k_colorable,
     max_graph_resilience,
 )
@@ -159,30 +159,34 @@ def test_max_agrees_with_direct_scan():
         assert got == expect
 
 
-def test_unrank_combination_matches_itertools():
-    for m, size in ((6, 3), (8, 2), (5, 5), (7, 1), (4, 0)):
-        combos = list(itertools.combinations(range(m), size))
-        for rank, combo in enumerate(combos):
-            assert tuple(_unrank_combination(m, size, rank)) == combo
+def _count_solver_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    solve = resilience._solve_masks
+
+    def counting(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(resilience, "_solve_masks", counting)
+    return calls
 
 
-def test_threads_do_not_change_verdicts():
-    rng = random.Random(34)
-    for _ in range(12):
-        g = random_graph(rng, max_n=7, min_n=4)
-        k = rng.randint(2, 3)
-        r = rng.randint(1, 3)
-        a = is_r_resiliently_k_colorable(g, r, k)
-        b = is_r_resiliently_k_colorable(g, r, k, threads=2)
-        assert a == b
+def test_coloring_cache_solver_calls_pinned(monkeypatch):
+    """Perf gate: the coloring cache answers all but 49 of the 43,863 subsets
+    scanned; a cache regression changes this count."""
+    calls = _count_solver_calls(monkeypatch)
+    verdict = is_r_resiliently_k_colorable(classic("durer"), 5, 4)
+    assert not verdict.resilient
+    assert verdict.witness == ((0, 2), (0, 8), (0, 10), (2, 6), (2, 10))
+    assert verdict.subsets_checked == 43863
+    assert calls[0] == 49
 
 
-def test_threads_on_chunked_parallel_path():
-    """Large enough to cross the sequential cutoff and actually fan out."""
-    g = classic("durer")
-    a = is_r_resiliently_k_colorable(g, 5, 4)
-    b = is_r_resiliently_k_colorable(g, 5, 4, threads=4)
-    assert a == b
-    assert not a.resilient
-    assert a.witness == ((0, 2), (0, 8), (0, 10), (2, 6), (2, 10))
-    assert a.subsets_checked == 43863
+@pytest.mark.parametrize(
+    "name, expected, pinned", [("durer", 4, 93), ("grotzsch", 4, 68), ("chvatal", 3, 57)]
+)
+def test_max_graph_resilience_solver_calls_pinned(monkeypatch, name, expected, pinned):
+    """Perf gate: one coloring cache serves the whole sweep over r."""
+    calls = _count_solver_calls(monkeypatch)
+    assert max_graph_resilience(classic(name), 4) == expected
+    assert calls[0] == pinned

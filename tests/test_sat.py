@@ -76,6 +76,27 @@ def test_parse_preserves_literal_order():
     assert phi.clauses == ((3, -1, 2),)
 
 
+def test_parse_several_clauses_on_one_line():
+    phi = parse_cnf("p cnf 3 2\n1 2 0 -3 0\n")
+    assert phi == CnfFormula(3, ((1, 2), (-3,)))
+
+
+def test_parse_clause_split_over_lines():
+    phi = parse_cnf("p cnf 3 2\n1 -2\n3 0\nc between\n-1\n0\n")
+    assert phi == CnfFormula(3, ((1, -2, 3), (-1,)))
+
+
+def test_parse_satlib_trailer():
+    phi = parse_cnf("c uf-style\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n")
+    assert phi == CnfFormula(3, ((1, -2, 3), (-1, 2)))
+
+
+def test_parse_stream_round_trips_through_serialize():
+    phi = parse_cnf("p cnf 4 3\n1 -2 0 3\n4 0 -1\n-4 0\n%\n0\n")
+    assert phi == CnfFormula(4, ((1, -2), (3, 4), (-1, -4)))
+    assert parse_cnf(serialize_cnf(phi)) == phi
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -90,6 +111,8 @@ def test_parse_preserves_literal_order():
         ("p cnf 2 1\n1 z 0\n", "malformed clause"),
         ("p cnf 2 1\n1 0 2 0\n", "stray 0"),
         ("p cnf 2 1\n0\n", "empty clause"),
+        ("p cnf 2 2\n1 0\n2\n%\n0\n", "line 3: missing terminating 0"),
+        ("p cnf 2 2\n1 0\n\n2 3 0\n", "line 4: variable out of range"),
         ("", "missing 'p cnf' header"),
     ],
 )

@@ -174,26 +174,25 @@ def _cmd_reduce(args) -> int:
         psi = blow_up(phi, args.s, clause_budget=budget)
         artifact = serialize_cnf(psi)
     elif args.kind == "shrink":
-        try:
-            psi = shrink_down(phi)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        if phi.width < 2:
+            raise UsageError("shrink-down requires width >= 2")
+        psi = shrink_down(phi)
         artifact = serialize_cnf(psi)
     elif args.kind == "chain":
         if args.r is None:
             raise UsageError("chain requires --r")
-        try:
-            psi = hardness_chain(args.r, phi, clause_budget=budget)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        if args.r < 2:
+            raise UsageError("hardness chain requires r >= 2")
+        if phi.width > 3:
+            raise UsageError("input must have width <= 3")
+        psi = hardness_chain(args.r, phi, clause_budget=budget)
         artifact = serialize_cnf(psi)
     else:  # to-coloring
         if args.output is None:
             raise UsageError("to-coloring requires -o for the graph and sidecar files")
-        try:
-            gg = six_cnf_to_graph(phi, vertex_budget=budget)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        if phi.width > 6:
+            raise UsageError("clause width exceeds 6")
+        gg = six_cnf_to_graph(phi, vertex_budget=budget)
         artifact = serialize_graph(gg.graph)
         sidecar_path = args.output + ".gadgets.json"
         with open(sidecar_path, "w", encoding="utf-8") as fh:

@@ -3,7 +3,9 @@
 The exact solver is deterministic: vertices are processed in order of
 descending degree (ties broken by index), colors are tried in ascending
 order, and when no vertex is pre-colored the first vertex in that order is
-pinned to color 0 to cut the color-permutation symmetry.  Pruning is by
+pinned to color 0 to cut the color-permutation symmetry.  Pre-colored
+vertices are single-color frames at the bottom of the same search, below
+every other vertex, so a pin conflict is found like any other.  Pruning is by
 per-vertex masks of still-available colors plus conflict-directed
 backjumping: every mask prune is tagged with the position that caused it, so
 a dead end jumps straight back to the deepest assignment actually involved
@@ -37,37 +39,23 @@ def _solve_masks(
 ) -> list[int] | None:
     """Backtracking core over bitmask adjacency; returns a color list or None.
 
-    `fixed` pins vertices to colors before the search; pinned vertices also
-    disable the symmetry-breaking root assignment.
+    Each pinned vertex of `fixed` is a frame at the bottom of the search, in
+    `fixed`'s order, whose domain is its one color; a pin conflict is an
+    ordinary wipe-out.  Pins disable the symmetry-breaking root assignment.
     """
     full = (1 << k) - 1
     color = [-1] * n
     avail = [full] * n
+    fixed = fixed or {}
+    for v, c in fixed.items():
+        if not 0 <= v < n:
+            raise ValueError(f"pinned vertex {v} out of range")
+        if not 0 <= c < k:
+            raise ValueError(f"pinned color {c} out of range for k={k}")
+        avail[v] = 1 << c
 
-    if fixed:
-        for v, c in fixed.items():
-            if not 0 <= v < n:
-                raise ValueError(f"pinned vertex {v} out of range")
-            if not 0 <= c < k:
-                raise ValueError(f"pinned color {c} out of range for k={k}")
-            if color[v] != -1 and color[v] != c:
-                return None
-            color[v] = c
-        for v, c in fixed.items():
-            bit = 1 << c
-            nb = adj[v]
-            while nb:
-                u = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                if color[u] == c:
-                    return None
-                if color[u] == -1:
-                    avail[u] &= ~bit
-                    if avail[u] == 0:
-                        return None
-
-    order = sorted(
-        (v for v in range(n) if color[v] == -1),
+    order = list(fixed) + sorted(
+        (v for v in range(n) if v not in fixed),
         key=lambda v: (-(adj[v].bit_count()), v),
     )
     if not order:

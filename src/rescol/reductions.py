@@ -440,107 +440,58 @@ class ContractReport:
         return passed, len(self.checks) - passed
 
 
-def _standalone_literal() -> tuple[Graph, int, tuple[int, int]]:
+def _standalone(num_ports: int, wire) -> tuple[Graph, int, tuple[int, ...], tuple[int, ...]]:
+    """A gadget on its own: the base, `num_ports` ports joined to the base,
+    and whatever `wire(builder, base, ports)` adds; returns the graph, the
+    base, the ports and the internal vertices `wire` returns."""
     b = _Builder()
     base = b.vertex()
-    p1, p2 = b.vertex(), b.vertex()
-    b.edge(base, p1)
-    b.edge(base, p2)
-    return b.graph(), base, (p1, p2)
-
-
-def _standalone_negation() -> tuple[Graph, int, tuple[int, ...], tuple[int, ...]]:
-    b = _Builder()
-    base = b.vertex()
-    p1, p2, n1, n2 = (b.vertex() for _ in range(4))
-    for p in (p1, p2, n1, n2):
-        b.edge(base, p)
-    internals = _wire_negation(b, base, (p1, p2), (n1, n2))
-    return b.graph(), base, (p1, p2, n1, n2), internals
-
-
-def _standalone_clause() -> tuple[Graph, int, tuple[int, ...], tuple[int, ...]]:
-    b = _Builder()
-    base = b.vertex()
-    ports = tuple(b.vertex() for _ in range(12))
+    ports = tuple(b.vertex() for _ in range(num_ports))
     for p in ports:
         b.edge(base, p)
-    internals = _wire_clause(b, [(ports[2 * i], ports[2 * i + 1]) for i in range(6)])
+    internals = wire(b, base, ports)
     return b.graph(), base, ports, internals
 
 
-def _check_pattern_law(
-    name: str,
-    graph: Graph,
-    base: int,
-    ports: tuple[int, ...],
-    accepts,
-    checks: list[ContractCheck],
-    contract: str,
-) -> None:
-    """Clamp every white/black port pattern and compare extendability with
-    the gadget's acceptance predicate."""
-    for pattern in itertools.product((0, 1), repeat=len(ports)):
-        clamp = {base: GRAY}
-        clamp.update(zip(ports, pattern))
-        extendable = extend_coloring(graph, 3, clamp) is not None
-        expected = accepts(pattern)
-        checks.append(
-            ContractCheck(
-                gadget=name,
-                contract=contract,
-                pattern="".join(map(str, pattern)),
-                ok=extendable == expected,
-                detail="" if extendable == expected else f"extendable={extendable}, expected={expected}",
-            )
-        )
+def _standalone_literal() -> tuple[Graph, int, tuple[int, ...]]:
+    return _standalone(2, lambda b, base, ports: ())[:3]
 
 
-def _check_single_edge_survival(
-    name: str, graph: Graph, base: int, checks: list[ContractCheck]
-) -> None:
+def _standalone_negation() -> tuple[Graph, int, tuple[int, ...], tuple[int, ...]]:
+    return _standalone(4, lambda b, base, ports: _wire_negation(b, base, ports[:2], ports[2:]))
+
+
+def _standalone_clause() -> tuple[Graph, int, tuple[int, ...], tuple[int, ...]]:
+    return _standalone(12, lambda b, _, ports: _wire_clause(b, list(zip(ports[::2], ports[1::2]))))
+
+
+def _survival_checks(name: str, graph: Graph, base: int) -> list[ContractCheck]:
     """Adding any one edge to the standalone gadget must leave it 3-colorable
     with the base still gray (some admissible port pattern survives)."""
+    checks = []
     for pair in non_edges(graph):
-        augmented = add_edges(graph, [pair])
-        ok = extend_coloring(augmented, 3, {base: GRAY}) is not None
-        checks.append(
-            ContractCheck(
-                gadget=name,
-                contract="survives-one-added-edge",
-                pattern=f"edge={pair}",
-                ok=ok,
-                detail="" if ok else "no proper coloring with the base gray",
-            )
-        )
+        ok = extend_coloring(add_edges(graph, [pair]), 3, {base: GRAY}) is not None
+        detail = "" if ok else "no proper coloring with the base gray"
+        checks.append(ContractCheck(name, "survives-one-added-edge", f"edge={pair}", ok, detail))
+    return checks
 
 
-def _check_flexibility(
-    name: str,
-    graph: Graph,
-    base: int,
-    internals: tuple[int, ...],
-    checks: list[ContractCheck],
-) -> None:
-    """Across all proper colorings with the base gray, every non-port gadget
-    vertex except at most one distinguished vertex must achieve >= 2 colors."""
-    stuck = []
-    for v in internals:
-        achievable = {
-            c for c in range(3) if extend_coloring(graph, 3, {base: GRAY, v: c}) is not None
-        }
-        if len(achievable) < 2:
-            stuck.append(v)
-    ok = len(stuck) <= 1
-    checks.append(
-        ContractCheck(
-            gadget=name,
-            contract="two-colors-achievable",
-            pattern=f"internals={len(internals)}",
-            ok=ok,
-            detail="" if ok else f"single-color vertices: {stuck}",
-        )
-    )
+# Per gadget with a port law: the builder, the law's contract name and the
+# port patterns (0 white, 1 black, base gray) that must extend.
+_PORT_LAWS = (
+    (
+        "negation",
+        _standalone_negation,
+        "exactly-one-polarity-true",
+        lambda p: (p[0] == p[1]) != (p[2] == p[3]),
+    ),
+    (
+        "clause",
+        _standalone_clause,
+        "at-least-one-slot-true",
+        lambda p: any(p[2 * i] == p[2 * i + 1] for i in range(6)),
+    ),
+)
 
 
 def verify_gadget_contracts() -> ContractReport:
@@ -553,49 +504,38 @@ def verify_gadget_contracts() -> ContractReport:
     the gadget 3-colorable with the base gray; (5) all but at most one
     internal vertex can take at least two different colors.
     """
-    checks: list[ContractCheck] = []
-
-    lit_graph, lit_base, lit_ports = _standalone_literal()
-    forced = True
-    for c1 in range(3):
-        for c2 in range(3):
-            proper = extend_coloring(lit_graph, 3, {lit_base: GRAY, lit_ports[0]: c1, lit_ports[1]: c2})
-            if (proper is not None) != (c1 != GRAY and c2 != GRAY):
-                forced = False
-    checks.append(
-        ContractCheck(
-            gadget="literal",
-            contract="ports-avoid-base-color",
-            pattern="all 9 port colorings",
-            ok=forced,
-        )
+    graph, base, (p1, p2) = _standalone_literal()
+    forced = all(
+        (extend_coloring(graph, 3, {base: GRAY, p1: c1, p2: c2}) is not None)
+        == (c1 != GRAY and c2 != GRAY)
+        for c1 in range(3)
+        for c2 in range(3)
     )
-    _check_single_edge_survival("literal", lit_graph, lit_base, checks)
+    checks = [ContractCheck("literal", "ports-avoid-base-color", "all 9 port colorings", forced)]
+    checks += _survival_checks("literal", graph, base)
 
-    neg_graph, neg_base, neg_ports, neg_internals = _standalone_negation()
-    _check_pattern_law(
-        "negation",
-        neg_graph,
-        neg_base,
-        neg_ports,
-        lambda p: (p[0] == p[1]) != (p[2] == p[3]),
-        checks,
-        contract="exactly-one-polarity-true",
-    )
-    _check_single_edge_survival("negation", neg_graph, neg_base, checks)
-    _check_flexibility("negation", neg_graph, neg_base, neg_internals, checks)
-
-    cl_graph, cl_base, cl_ports, cl_internals = _standalone_clause()
-    _check_pattern_law(
-        "clause",
-        cl_graph,
-        cl_base,
-        cl_ports,
-        lambda p: any(p[2 * i] == p[2 * i + 1] for i in range(6)),
-        checks,
-        contract="at-least-one-slot-true",
-    )
-    _check_single_edge_survival("clause", cl_graph, cl_base, checks)
-    _check_flexibility("clause", cl_graph, cl_base, cl_internals, checks)
+    for name, build, contract, accepts in _PORT_LAWS:
+        graph, base, ports, internals = build()
+        # every white/black port pattern extends exactly when the law accepts it
+        for pattern in itertools.product((0, 1), repeat=len(ports)):
+            clamp = {base: GRAY}
+            clamp.update(zip(ports, pattern))
+            extendable = extend_coloring(graph, 3, clamp) is not None
+            expected = accepts(pattern)
+            ok = extendable == expected
+            detail = "" if ok else f"extendable={extendable}, expected={expected}"
+            checks.append(ContractCheck(name, contract, "".join(map(str, pattern)), ok, detail))
+        checks += _survival_checks(name, graph, base)
+        # with the base gray, every internal vertex but at most one can take
+        # two colors across the gadget's proper colorings
+        stuck = [
+            v
+            for v in internals
+            if sum(extend_coloring(graph, 3, {base: GRAY, v: c}) is not None for c in range(3)) < 2
+        ]
+        ok = len(stuck) <= 1
+        detail = "" if ok else f"single-color vertices: {stuck}"
+        pattern = f"internals={len(internals)}"
+        checks.append(ContractCheck(name, "two-colors-achievable", pattern, ok, detail))
 
     return ContractReport(tuple(checks))

@@ -351,12 +351,19 @@ def test_missing_subcommand_exits_via_argparse():
         ["color", "{out_of_range}", "--k", "3"],
         ["color", "{binary}", "--k", "3"],
         ["resilience", "{binary}", "--mode", "sat", "--r", "1"],
+        ["reduce", "{cnf}", "--kind", "chain", "--r", "1"],
+        ["reduce", "{wide}", "--kind", "chain", "--r", "2"],
+        ["reduce", "{narrow}", "--kind", "shrink"],
+        ["reduce", "{wide}", "--kind", "to-coloring", "-o", "{out}"],
     ],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     files = {
         "graph": write_graph(tmp_path, classic("petersen")),
         "cnf": write_cnf(tmp_path, CnfFormula.make(2, [(1, 2)])),
+        "narrow": write_cnf(tmp_path, CnfFormula.make(1, [(1,)]), "narrow.cnf"),
+        "wide": write_cnf(tmp_path, CnfFormula.make(7, [tuple(range(1, 8))]), "wide.cnf"),
+        "out": tmp_path / "out.col",
         "self_loop": tmp_path / "loop.col",
         "out_of_range": tmp_path / "range.col",
         "binary": tmp_path / "binary.bin",
@@ -369,10 +376,25 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
-def test_library_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
-    def broken(g, k):
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("is_k_colorable", ["color", "{graph}", "--k", "3"]),
+        ("shrink_down", ["reduce", "{cnf}", "--kind", "shrink"]),
+        ("hardness_chain", ["reduce", "{cnf}", "--kind", "chain", "--r", "2"]),
+        ("six_cnf_to_graph", ["reduce", "{cnf}", "--kind", "to-coloring", "-o", "{out}"]),
+    ],
+    ids=["color", "shrink", "chain", "to-coloring"],
+)
+def test_library_value_error_is_not_a_usage_error(tmp_path, monkeypatch, target, argv):
+    def broken(*args, **kwargs):
         raise ValueError("internal failure")
 
-    monkeypatch.setattr("rescol.cli.is_k_colorable", broken)
+    files = {
+        "graph": write_graph(tmp_path, classic("petersen")),
+        "cnf": write_cnf(tmp_path, CnfFormula.make(2, [(1, 2)])),
+        "out": tmp_path / "out.col",
+    }
+    monkeypatch.setattr(f"rescol.cli.{target}", broken)
     with pytest.raises(ValueError, match="internal failure"):
-        main(["color", write_graph(tmp_path, classic("petersen")), "--k", "3"])
+        main([arg.format(**files) for arg in argv])

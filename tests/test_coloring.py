@@ -13,6 +13,7 @@ from rescol.coloring import (
     validate_coloring,
 )
 from rescol.graphs import Graph, classic, complete_graph, complete_plus_isolated
+from rescol.sat import CnfFormula, is_satisfiable
 
 
 def cycle(n: int) -> Graph:
@@ -116,6 +117,48 @@ def test_solver_matches_plain_backtracking_reference():
         if g.n and rng.random() < 0.4:
             fixed = {rng.randrange(g.n): rng.randrange(k)}
         assert extend_coloring(g, k, fixed or {}) == reference(g, k, fixed)
+
+
+def test_extend_coloring_agrees_with_coloring_cnf():
+    """Past the numpy oracles' reach: extend_coloring against a direct
+    k-coloring CNF (one variable per vertex and color) solved by the SAT
+    engine, on graphs of 13-20 vertices with up to four pins."""
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randint(13, 20)
+        k = rng.choice((3, 4))
+        planted = [rng.randrange(k) for _ in range(n)]
+        density = rng.uniform(0.2, 0.6)
+        g = Graph(
+            n,
+            frozenset(
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < (density if planted[u] != planted[v] else density / 8)
+            ),
+        )
+        pinned = rng.sample(range(n), rng.randint(0, 4))
+        if rng.random() < 0.5:
+            fixed = {v: planted[v] for v in pinned}
+        else:
+            fixed = {v: rng.randrange(k) for v in pinned}
+
+        def var(v, c):
+            return v * k + c + 1
+
+        clauses = [[var(v, c) for c in range(k)] for v in range(n)]
+        clauses += [[-var(u, c), -var(v, c)] for u, v in g.edges for c in range(k)]
+        clauses += [[var(v, c)] for v, c in fixed.items()]
+        expected = is_satisfiable(CnfFormula.make(n * k, clauses)) is not None
+        got = extend_coloring(g, k, fixed)
+        assert (got is not None) == expected
+        if got is not None:
+            assert validate_coloring(g, got, k)
+            assert all(got[v] == c for v, c in fixed.items())
+        outcomes.add((got is not None, len(fixed) > 1))
+    assert len(outcomes) == 4  # both verdicts occur, with and without several pins
 
 
 def test_root_symmetry_break():

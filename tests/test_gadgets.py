@@ -38,6 +38,29 @@ def test_contract_kinds_present():
     }
 
 
+def test_contract_check_sequence_is_pinned():
+    report = verify_gadget_contracts()
+    runs = [
+        (gadget, contract, len(list(group)))
+        for (gadget, contract), group in itertools.groupby(
+            report.checks, key=lambda c: (c.gadget, c.contract)
+        )
+    ]
+    assert runs == [
+        ("literal", "ports-avoid-base-color", 1),
+        ("literal", "survives-one-added-edge", 1),
+        ("negation", "exactly-one-polarity-true", 16),
+        ("negation", "survives-one-added-edge", 37),
+        ("negation", "two-colors-achievable", 1),
+        ("clause", "at-least-one-slot-true", 4096),
+        ("clause", "survives-one-added-edge", 420),
+        ("clause", "two-colors-achievable", 1),
+    ]
+    for gadget, width in (("negation", 4), ("clause", 12)):
+        patterns = [c.pattern for c in report.checks if c.gadget == gadget][: 2**width]
+        assert patterns == ["".join(map(str, p)) for p in itertools.product((0, 1), repeat=width)]
+
+
 def test_literal_ports_never_gray():
     graph, base, (p1, p2) = _standalone_literal()
     for cp in range(3):

@@ -97,6 +97,9 @@ def test_parse_dedupes_repeated_edges():
         ("p edge 3 1\nxyzzy\n", "unrecognized"),
         ("c nothing else\n", "header"),
         ("p edge 3 1\ne 1\n", "malformed"),
+        ("p edge 3 x\n", "malformed header"),
+        ("p edge -1 0\n", "negative vertex count"),
+        ("p edge 3 1\ne 1 x\n", "malformed edge line"),
     ],
 )
 def test_parse_errors_name_the_line(text, fragment):

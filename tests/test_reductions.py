@@ -232,6 +232,10 @@ def test_hardness_chain_budget():
     phi = CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)])
     with pytest.raises(BudgetExceededError):
         hardness_chain(5, phi, clause_budget=100)
+    # the 2^3 = 8 blow-up clauses fit; the first shrink step would emit 16
+    two = CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3)])
+    with pytest.raises(BudgetExceededError, match="shrink step would emit 16"):
+        hardness_chain(2, two, clause_budget=8)
 
 
 # --------------------------------------------------------- six_cnf_to_graph

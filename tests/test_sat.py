@@ -114,6 +114,7 @@ def test_parse_stream_round_trips_through_serialize():
         ("p cnf 2 2\n1 0\n2\n%\n0\n", "line 3: missing terminating 0"),
         ("p cnf 2 2\n1 0\n\n2 3 0\n", "line 4: variable out of range"),
         ("", "missing 'p cnf' header"),
+        ("p cnf -1 0\n", "negative counts"),
     ],
 )
 def test_parse_errors(text, fragment):

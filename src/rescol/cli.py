@@ -134,21 +134,19 @@ def _cmd_resilience(args) -> int:
         verdict = is_r_resiliently_k_colorable(g, args.r, args.k)
         counter = ("subsets_checked", verdict.subsets_checked)
         witness = None if verdict.witness is None else _edge_witness(verdict.witness)
-        # adding every non-edge leaves K_n, which is k-colorable only for n <= k
-        saturated = g.n <= args.k
     else:
         phi = _load_cnf(args.file)
         sizes = (("num_vars", phi.num_vars), ("clauses", len(phi.clauses)))
         verdict = is_r_resilient(phi, args.r)
         counter = ("restrictions_checked", verdict.restrictions_checked)
         witness = None if verdict.witness is None else _fixes_witness(verdict.witness.fixes)
-        saturated = False
     for key, value in (("command", "resilience"), ("mode", args.mode), ("r", args.r)) + sizes:
         _emit(out, key, value)
     if verdict.r < args.r:
         # fewer candidates than r: the check saturates at the full set
         _emit(out, "effective_r", verdict.r)
-        if saturated:
+        # in graph mode every non-edge was added, so surviving means K_n is k-colorable
+        if args.mode == "graph" and verdict.resilient:
             _emit(out, "saturated", True)
     _emit(out, "resilient", verdict.resilient)
     if witness is not None:

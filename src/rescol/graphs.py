@@ -70,8 +70,8 @@ def parse_graph(text: str) -> Graph:
     """Read a DIMACS edge-format graph ("p edge n m" header, "e u v" lines, 1-indexed).
 
     Comment lines starting with "c" and blank lines are skipped.  Duplicate
-    edges are deduplicated.  Malformed headers, endpoints out of range, and
-    self-loops raise ParseError naming the line.
+    edges are deduplicated.  Malformed headers, negative counts, endpoints
+    out of range, and self-loops raise ParseError naming the line.
     """
     n = None
     edges: set[tuple[int, int]] = set()
@@ -86,12 +86,13 @@ def parse_graph(text: str) -> Graph:
             if len(fields) != 4 or fields[1] != "edge":
                 raise ParseError(f"line {lineno}: malformed header {line!r}")
             try:
-                n = int(fields[2])
-                int(fields[3])
+                n, m = int(fields[2]), int(fields[3])
             except ValueError:
                 raise ParseError(f"line {lineno}: malformed header {line!r}") from None
             if n < 0:
                 raise ParseError(f"line {lineno}: negative vertex count {line!r}")
+            if m < 0:
+                raise ParseError(f"line {lineno}: negative edge count {line!r}")
         elif fields[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before header {line!r}")

@@ -7,10 +7,11 @@ survives every restriction of exactly r variables.
 
 There is one solver: an incremental DPLL built once per formula, which
 answers each restriction as a set of assumed literals and undoes them
-afterwards.  Resilience scans keep a small cache of the models found so
-far; a restriction that agrees with a cached model is survived without a
-solve.  Cache hits can never flip a verdict, because the cached model is a
-model of the restricted formula.
+afterwards.  Its one trail records every assignment, and each clause is
+watched through its first two slots (the MiniSat layout).  Resilience scans
+keep a small cache of the models found so far; a restriction that agrees
+with a cached model is survived without a solve.  Cache hits can never flip
+a verdict, because the cached model is a model of the restricted formula.
 """
 from __future__ import annotations
 
@@ -176,39 +177,37 @@ def serialize_cnf(phi: CnfFormula) -> str:
 class _Solver:
     """Exact DPLL over one formula, reused across calls under assumptions.
 
-    The constructor builds the watch lists once and propagates the unit
-    clauses once (the level-0 trail).  Each ``solve`` pushes its assumed
-    literals, branches on the lowest unassigned variable, false before true,
-    with unit propagation run to fixpoint between decisions, and always
-    undoes back to the level-0 trail before it returns.  Propagation uses
-    two watched literals per clause, so only clauses watching a newly
-    falsified literal are visited; watches need no repair on undo.
+    The constructor builds the watch lists and assigns the unit clauses once
+    (the level-0 trail).  Each ``solve`` pushes its assumed literals, branches
+    on the lowest unassigned variable, false before true, with unit
+    propagation run to fixpoint between decisions, and always undoes back to
+    the level-0 trail before it returns.  ``trail[head:]`` holds the literals
+    not yet propagated.  A clause of two or more literals is a list watched
+    through its slots 0 and 1: propagation visits only the clauses watching a
+    newly falsified literal and swaps a replacement watch into slot 1.
+    Watches need no repair on undo.
     """
 
     def __init__(self, phi: CnfFormula):
         n = phi.num_vars
         self.num_vars = n
-        self.clauses = clauses = phi.clauses
         # value[lit] is the truth value of literal lit, None while unassigned;
-        # watches[lit] holds the indices of clauses currently watching lit.
+        # watches[lit] holds the clauses whose slot 0 or 1 is lit.
         # Negative literals index from the end of these 2n+1 lists.
         self.value: list[bool | None] = [None] * (2 * n + 1)
-        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
-        # wslots[j] holds the two watched positions inside clause j
-        self.wslots: list[list[int]] = []
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
         self.trail: list[int] = []
-        self.pending: list[int] = []
-        self.base = 0
-        self.consistent = not phi.has_empty_clause
-        if not self.consistent:
-            return
-        for j, cl in enumerate(clauses):
-            self.wslots.append([0, min(1, len(cl) - 1)])
-            self.watches[cl[0]].append(j)
+        self.head = 0
+        for cl in phi.clauses:
             if len(cl) > 1:
-                self.watches[cl[1]].append(j)
-        self.consistent = all(self._assign(cl[0]) for cl in clauses if len(cl) == 1) and self._propagate()
-        self.pending.clear()
+                clause = list(cl)
+                self.watches[cl[0]].append(clause)
+                self.watches[cl[1]].append(clause)
+        self.consistent = (
+            not phi.has_empty_clause
+            and all(self._assign(cl[0]) for cl in phi.clauses if len(cl) == 1)
+            and self._propagate()
+        )
         self.base = len(self.trail)
 
     def _assign(self, lit: int) -> bool:
@@ -220,44 +219,44 @@ class _Solver:
         value[lit] = True
         value[-lit] = False
         self.trail.append(lit)
-        self.pending.append(lit)
         return True
 
     def _propagate(self) -> bool:
+        """Propagate trail[head:] to fixpoint; False on a conflict."""
         value = self.value
         watches = self.watches
-        wslots = self.wslots
-        clauses = self.clauses
         trail = self.trail
-        pending = self.pending
-        while pending:
-            falsified = -pending.pop()
+        head = self.head
+        while head < len(trail):
+            falsified = -trail[head]
+            head += 1
             occ = watches[falsified]
             i = 0
             while i < len(occ):
-                j = occ[i]
-                cl = clauses[j]
-                slots = wslots[j]
-                side = 0 if cl[slots[0]] == falsified else 1
-                other = cl[slots[1 - side]]
+                cl = occ[i]
+                if cl[0] == falsified:
+                    cl[0], cl[1] = cl[1], falsified
+                other = cl[0]
                 if value[other] is True:
                     i += 1
                     continue
-                for p, lit in enumerate(cl):
-                    if p != slots[0] and p != slots[1] and value[lit] is not False:
-                        slots[side] = p
-                        watches[lit].append(j)
+                for k in range(2, len(cl)):
+                    lit = cl[k]
+                    if value[lit] is not False:
+                        cl[1], cl[k] = lit, falsified
+                        watches[lit].append(cl)
                         occ[i] = occ[-1]
                         occ.pop()
                         break
                 else:
-                    if other == falsified or value[other] is False:
+                    if value[other] is False:
+                        self.head = head
                         return False
                     value[other] = True
                     value[-other] = False
                     trail.append(other)
-                    pending.append(other)
                     i += 1
+        self.head = head
         return True
 
     def _undo(self, mark: int) -> None:
@@ -266,6 +265,7 @@ class _Solver:
         while len(trail) > mark:
             lit = trail.pop()
             value[lit] = value[-lit] = None
+        self.head = mark
 
     def solve(self, assumptions: Iterable[int] = ()) -> list[bool] | None:
         """A model extending the assumed literals, or None.
@@ -291,7 +291,6 @@ class _Solver:
                 decisions.append((var, len(self.trail), False))
                 ok = self._assign(-var) and self._propagate()
                 while not ok:
-                    self.pending.clear()
                     if not decisions:
                         return None
                     var, mark, flipped = decisions.pop()
@@ -302,7 +301,6 @@ class _Solver:
                     cursor = var + 1
                     ok = self._assign(var) and self._propagate()
         finally:
-            self.pending.clear()
             self._undo(self.base)
 
 
@@ -413,16 +411,15 @@ def max_sat_resilience(phi: CnfFormula) -> int | str:
 
     Returns SATURATED when phi survives fixing all num_vars variables (only
     possible when every clause is a tautology); raises for unsatisfiable
-    input, which is not even 0-resilient.  One solver and one model cache,
-    seeded with the first model found, serve the whole sweep over r.
+    input, which is not even 0-resilient.  One solver and one model cache
+    serve the whole sweep over r, from r = 0.
     """
     solver = _Solver(phi)
-    model = solver.solve()
-    if model is None:
-        raise ValueError("formula is not even 0-resilient")
-    certs = [_model_mask(model)]
-    for r in range(1, phi.num_vars + 1):
+    certs: list[int] = []
+    for r in range(phi.num_vars + 1):
         witness, _ = _first_failure(solver, certs, r)
         if witness is not None:
+            if r == 0:
+                raise ValueError("formula is not even 0-resilient")
             return r - 1
     return SATURATED

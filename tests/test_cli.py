@@ -13,7 +13,7 @@ import pytest
 
 from rescol.cli import main
 from rescol.coloring import is_k_colorable, validate_coloring
-from rescol.graphs import classic, complete_graph, parse_graph, serialize_graph
+from rescol.graphs import Graph, classic, complete_graph, parse_graph, serialize_graph
 from rescol.reductions import blow_up, hardness_chain, shrink_down, six_cnf_to_graph
 from rescol.resilience import is_r_resiliently_k_colorable
 from rescol.sat import CnfFormula, is_r_resilient, parse_cnf, serialize_cnf
@@ -116,6 +116,16 @@ def test_resilience_graph_saturates_on_complete_graph(tmp_path, capsys):
     assert out["effective_r"] == "0"
     assert out["saturated"] == "true"
     assert out["resilient"] == "true"
+
+
+def test_resilience_graph_no_saturation_when_complete_graph_fails(tmp_path, capsys):
+    g = Graph(4, complete_graph(4).edges - {(0, 1)})
+    rc = main(["resilience", write_graph(tmp_path, g), "--mode", "graph", "--r", "5", "--k", "3"])
+    out = report_dict(capsys.readouterr().out)
+    assert rc == 1
+    assert out["effective_r"] == "1"
+    assert out["resilient"] == "false"
+    assert "saturated" not in out
 
 
 def test_resilience_graph_requires_k(tmp_path, capsys):

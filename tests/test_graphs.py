@@ -99,6 +99,7 @@ def test_parse_dedupes_repeated_edges():
         ("p edge 3 1\ne 1\n", "malformed"),
         ("p edge 3 x\n", "malformed header"),
         ("p edge -1 0\n", "negative vertex count"),
+        ("p edge 3 -1\ne 1 2\n", "line 1: negative edge count"),
         ("p edge 3 1\ne 1 x\n", "malformed edge line"),
     ],
 )

@@ -340,6 +340,53 @@ def test_model_cache_solver_calls_pinned(monkeypatch):
     assert calls < verdict.restrictions_checked
 
 
+def test_max_sat_resilience_solver_calls_pinned(monkeypatch):
+    """Perf gate: the r = 0 scan seeds the model cache for the whole sweep."""
+    calls = 0
+    solve = sat._Solver.solve
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return solve(self, *args)
+
+    monkeypatch.setattr(sat._Solver, "solve", counting)
+    psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
+    assert max_sat_resilience(psi) == 8
+    assert calls == 4074
+
+
+def test_solver_reuse_matches_oracle():
+    """One solver answers many assumption lists in a row: watch slots or a
+    trail head left wrong by one call would change a later answer."""
+    rng = random.Random(30)
+    seen = {"unit": 0, "duplicate": 0, "tautology": 0, "repeated": 0, "contradictory": 0}
+    for _ in range(100):
+        phi = random_cnf(rng, max_vars=10, max_clauses=30, max_width=5)
+        seen["unit"] += any(len(cl) == 1 for cl in phi.clauses)
+        seen["duplicate"] += any(len(set(cl)) < len(cl) for cl in phi.clauses)
+        seen["tautology"] += any(-lit in cl for cl in phi.clauses for lit in cl)
+        solver = sat._Solver(phi)
+        for _ in range(40):
+            n = rng.randint(0, 4)
+            assumptions = [rng.choice((1, -1)) * rng.randint(1, phi.num_vars) for _ in range(n)]
+            fixes = {abs(lit): lit > 0 for lit in assumptions}
+            contradictory = len(fixes) < len(set(assumptions))
+            seen["repeated"] += len(set(assumptions)) < len(assumptions)
+            seen["contradictory"] += contradictory
+            model = solver.solve(assumptions)
+            assert model == sat._Solver(phi).solve(assumptions)
+            if contradictory:
+                assert model is None
+                continue
+            rho = Restriction.from_pairs(fixes.items())
+            assert (model is not None) == brute_satisfiable(restrict(phi, rho))
+            if model is not None:
+                assert all(model[abs(lit) - 1] == (lit > 0) for lit in assumptions)
+                assert all(any(model[abs(lit) - 1] == (lit > 0) for lit in cl) for cl in phi.clauses)
+    assert min(seen.values()) > 0, seen
+
+
 def test_max_sat_resilience_errors_on_unsat():
     with pytest.raises(ValueError, match="not even 0-resilient"):
         max_sat_resilience(CnfFormula.make(1, [(1,), (-1,)]))

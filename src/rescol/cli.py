@@ -45,6 +45,9 @@ _CLASSICS_TABLE = (
     ("chvatal", 4, 3, True),
 )
 
+# The smallest --param of each parametric classic family; the others take none.
+_PARAM_MIN = {"complete": 1, "complete_minus_matching": 2, "complete_plus_isolated": 1}
+
 
 class UsageError(Exception):
     """Bad arguments or ill-formed input discovered inside a command."""
@@ -216,16 +219,21 @@ def _cmd_reduce(args) -> int:
 def _cmd_classics(args) -> int:
     started = time.perf_counter()
     out = sys.stdout
+    if args.name is None and args.param is not None:
+        raise UsageError("--param requires a graph name")
     if args.name is not None:
         name = args.name.replace("-", "_")
         if name not in CLASSIC_NAMES:
             raise UsageError(f"unknown classic graph {args.name!r}; choices: "
                              + ", ".join(sorted(n.replace('_', '-') for n in CLASSIC_NAMES)))
-        try:
-            g = classic(name, args.param)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        sys.stdout.write(serialize_graph(g))
+        if name not in _PARAM_MIN:
+            if args.param is not None:
+                raise UsageError(f"{name} takes no parameter")
+        elif args.param is None:
+            raise UsageError(f"{name} requires a parameter k")
+        elif args.param < _PARAM_MIN[name]:
+            raise UsageError(f"{name}(k) requires k >= {_PARAM_MIN[name]}")
+        sys.stdout.write(serialize_graph(classic(name, args.param)))
         return 0
     _emit(out, "command", "classics")
     all_match = True

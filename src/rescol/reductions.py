@@ -94,38 +94,22 @@ def shrink_down(phi: CnfFormula) -> CnfFormula:
 
 def _exact_three_cnf(phi: CnfFormula) -> CnfFormula:
     """Rewrite a width <= 3 formula so every clause has three distinct
-    variables: duplicates collapse, tautological clauses drop, narrow
-    clauses expand over fresh variables ((a|b) becomes (a|b|u), (a|b|-u)),
-    and an empty clause becomes a canonical 8-clause contradiction.  The
-    shrink steps downstream need the per-clause distinctness."""
+    variables: duplicates collapse, tautological clauses drop, and a narrow
+    clause doubles over fresh variables, one copy with each variable and one
+    with its negation, until it has three: (a|b) becomes (a|b|u), (a|b|-u),
+    and an empty clause the 8-clause contradiction.  The shrink steps need
+    the distinctness."""
     fresh = phi.num_vars
     out: list[tuple[int, ...]] = []
     for cl in phi.clauses:
-        lits: list[int] = []
-        for lit in cl:
-            if lit not in lits:
-                lits.append(lit)
+        lits = tuple(dict.fromkeys(cl))
         if any(-lit in lits for lit in lits):
             continue
-        if len(lits) == 3:
-            out.append(tuple(lits))
-        elif len(lits) == 2:
+        clauses = [lits]
+        while len(clauses[0]) < 3:
             fresh += 1
-            out.append((lits[0], lits[1], fresh))
-            out.append((lits[0], lits[1], -fresh))
-        elif len(lits) == 1:
-            fresh += 2
-            u, v = fresh - 1, fresh
-            out.extend(((lits[0], su * u, sv * v) for su in (1, -1) for sv in (1, -1)))
-        else:
-            fresh += 3
-            a, b, c = fresh - 2, fresh - 1, fresh
-            out.extend(
-                (sa * a, sb * b, sc * c)
-                for sa in (1, -1)
-                for sb in (1, -1)
-                for sc in (1, -1)
-            )
+            clauses = [c + (sign * fresh,) for c in clauses for sign in (1, -1)]
+        out.extend(clauses)
     return CnfFormula(fresh, tuple(out))
 
 

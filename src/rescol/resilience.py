@@ -10,11 +10,11 @@ the non-edges it colors properly; for SAT the universe is the literals and a
 certificate is a model, covering its true literals.
 
 ``_first_uncovered`` answers that question for both.  It walks subset
-bitmasks in canonical order and keeps a small most-recently-hit list of
-certificate masks.  A subset inside a cached certificate needs no search;
-only cache misses run the exact solver.  Cache hits can never flip a
-verdict: a certificate that covers a subset is itself a coloring of the
-augmented graph, or a model of the restricted formula.
+bitmasks in canonical order and keeps every certificate mask it has found,
+the most recently hit first.  A subset inside a kept certificate needs no
+search; only subsets no certificate covers run the exact solver.  Cache
+hits can never flip a verdict: a certificate that covers a subset is itself
+a coloring of the augmented graph, or a model of the restricted formula.
 """
 from __future__ import annotations
 
@@ -26,8 +26,6 @@ from .coloring import _solve_masks
 from .graphs import Graph, non_edges
 
 SATURATED = "saturated"
-
-_CACHE_LIMIT = 128
 
 
 @dataclass(frozen=True)
@@ -52,11 +50,11 @@ def _first_uncovered(
     """Return the first mask no certificate covers (or None) and the number
     of masks checked.
 
-    ``certs`` holds certificate masks, most recently hit first, and is
-    updated in place so a caller can carry it across scans.  A mask that is
-    a subset of a cached certificate is survived; otherwise ``solve(mask)``
-    returns a covering certificate mask, which joins the cache, or None,
-    which ends the scan at that mask.
+    ``certs`` holds every certificate mask found so far, most recently hit
+    first, and is updated in place so a caller can carry it across scans.
+    A mask that is a subset of a kept certificate is survived; otherwise
+    ``solve(mask)`` returns a covering certificate mask, which joins the
+    front of ``certs``, or None, which ends the scan at that mask.
     """
     checked = 0
     for mask in masks:
@@ -71,8 +69,21 @@ def _first_uncovered(
             if cert is None:
                 return mask, checked
             certs.insert(0, cert)
-            del certs[_CACHE_LIMIT:]
     return None, checked
+
+
+def _max_resilience(first_failure: Callable[..., object], limit: int, message: str) -> int | str:
+    """The r-sweep of both ``max_*`` functions: r - 1 for the first r in
+    0..limit where ``first_failure(r, certs)`` is not None, with one
+    certificate list for every r; SATURATED when no r fails.  Raises
+    ValueError(message) when r = 0 already fails."""
+    certs: list[int] = []
+    for r in range(limit + 1):
+        if first_failure(r, certs) is not None:
+            if r == 0:
+                raise ValueError(message)
+            return r - 1
+    return SATURATED
 
 
 def _first_failure(
@@ -122,19 +133,16 @@ def max_graph_resilience(g: Graph, k: int) -> int | str:
 
     Returns SATURATED when the complete graph on g's vertices is itself
     k-colorable (n <= k), in which case every r qualifies; raises when g is
-    not k-colorable at all (not 0-resilient).  One coloring cache serves the
-    whole sweep over r.
+    not k-colorable at all (not 0-resilient).  One certificate store serves
+    the whole sweep over r.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if g.n <= k:
         return SATURATED
     candidates = non_edges(g)
-    certs: list[int] = []
-    for r in range(len(candidates) + 1):
-        witness, _ = _first_failure(g, k, candidates, r, certs)
-        if witness is not None:
-            if r == 0:
-                raise ValueError("graph is not even 0-resilient (not k-colorable)")
-            return r - 1
-    raise AssertionError("unreachable: completing to K_n must fail for n > k")
+    return _max_resilience(
+        lambda r, certs: _first_failure(g, k, candidates, r, certs)[0],
+        len(candidates),
+        "graph is not even 0-resilient (not k-colorable)",
+    )

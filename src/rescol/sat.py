@@ -9,9 +9,9 @@ There is one solver: an incremental DPLL built once per formula, which
 answers each restriction as a set of assumed literals and undoes them
 afterwards.  Its one trail records every assignment, and each clause is
 watched through its first two slots (the MiniSat layout).  Resilience scans
-keep a small cache of the models found so far; a restriction that agrees
-with a cached model is survived without a solve.  Cache hits can never flip
-a verdict, because the cached model is a model of the restricted formula.
+keep every model found so far; a restriction that agrees with a kept model
+is survived without a solve.  Such hits can never flip a verdict, because
+the kept model is a model of the restricted formula.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .graphs import ParseError
-from .resilience import SATURATED, _bits, _first_uncovered
+from .resilience import SATURATED, _bits, _first_uncovered, _max_resilience
 
 Clause = tuple[int, ...]
 Assignment = dict[int, bool]
@@ -394,10 +394,10 @@ def is_r_resilient(phi: CnfFormula, r: int) -> SatResilienceVerdict:
     resilient).
 
     One incremental solver serves the whole scan, each restriction pushed as
-    assumptions.  Models found so far are kept in a small most-recently-hit
-    cache; a restriction that agrees with a cached model is survived without
-    a solve.  Cache hits can never flip a verdict: the cached model is itself
-    a model of the restricted formula.
+    assumptions.  Every model found so far is kept, the most recently hit
+    first; a restriction that agrees with a kept model is survived without
+    a solve.  Such hits can never flip a verdict: the kept model is itself a
+    model of the restricted formula.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -411,15 +411,12 @@ def max_sat_resilience(phi: CnfFormula) -> int | str:
 
     Returns SATURATED when phi survives fixing all num_vars variables (only
     possible when every clause is a tautology); raises for unsatisfiable
-    input, which is not even 0-resilient.  One solver and one model cache
-    serve the whole sweep over r, from r = 0.
+    input, which is not even 0-resilient.  One solver and one store of every
+    model found serve the whole sweep over r, from r = 0.
     """
     solver = _Solver(phi)
-    certs: list[int] = []
-    for r in range(phi.num_vars + 1):
-        witness, _ = _first_failure(solver, certs, r)
-        if witness is not None:
-            if r == 0:
-                raise ValueError("formula is not even 0-resilient")
-            return r - 1
-    return SATURATED
+    return _max_resilience(
+        lambda r, certs: _first_failure(solver, certs, r)[0],
+        phi.num_vars,
+        "formula is not even 0-resilient",
+    )

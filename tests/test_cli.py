@@ -365,6 +365,12 @@ def test_missing_subcommand_exits_via_argparse():
         ["reduce", "{wide}", "--kind", "chain", "--r", "2"],
         ["reduce", "{narrow}", "--kind", "shrink"],
         ["reduce", "{wide}", "--kind", "to-coloring", "-o", "{out}"],
+        ["classics", "--param", "3"],
+        ["classics", "petersen", "--param", "3"],
+        ["classics", "complete"],
+        ["classics", "complete", "--param", "0"],
+        ["classics", "complete-minus-matching", "--param", "1"],
+        ["classics", "complete-plus-isolated", "--param", "0"],
     ],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):
@@ -393,8 +399,9 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
         ("shrink_down", ["reduce", "{cnf}", "--kind", "shrink"]),
         ("hardness_chain", ["reduce", "{cnf}", "--kind", "chain", "--r", "2"]),
         ("six_cnf_to_graph", ["reduce", "{cnf}", "--kind", "to-coloring", "-o", "{out}"]),
+        ("classic", ["classics", "petersen"]),
     ],
-    ids=["color", "shrink", "chain", "to-coloring"],
+    ids=["color", "shrink", "chain", "to-coloring", "classic"],
 )
 def test_library_value_error_is_not_a_usage_error(tmp_path, monkeypatch, target, argv):
     def broken(*args, **kwargs):

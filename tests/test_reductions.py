@@ -8,6 +8,7 @@ import pytest
 from conftest import brute_satisfiable, random_cnf, uniform_six_cnf
 from rescol.coloring import chromatic_number, is_k_colorable, validate_coloring
 from rescol.graphs import Graph
+from rescol import reductions
 from rescol.reductions import (
     BudgetExceededError,
     blow_up,
@@ -195,6 +196,34 @@ def test_hardness_chain_drops_tautologies():
     phi = CnfFormula.make(2, [(1, -1, 2)])
     out = hardness_chain(3, phi)
     assert out.clauses == ()
+
+
+def test_exact_three_cnf_frozen_output():
+    # CnfFormula(...) rather than make(): make rejects the empty clause
+    phi = CnfFormula(3, ((), (2,), (1, -3), (1, -2, 1), (2, -2, 3), (-1, 2, 3)))
+    out = reductions._exact_three_cnf(phi)
+    assert out == CnfFormula(
+        10,
+        (
+            (4, 5, 6),
+            (4, 5, -6),
+            (4, -5, 6),
+            (4, -5, -6),
+            (-4, 5, 6),
+            (-4, 5, -6),
+            (-4, -5, 6),
+            (-4, -5, -6),
+            (2, 7, 8),
+            (2, 7, -8),
+            (2, -7, 8),
+            (2, -7, -8),
+            (1, -3, 9),
+            (1, -3, -9),
+            (1, -2, 10),
+            (1, -2, -10),
+            (-1, 2, 3),
+        ),
+    )
 
 
 def test_hardness_chain_frozen_r2_output():

@@ -190,3 +190,23 @@ def test_max_graph_resilience_solver_calls_pinned(monkeypatch, name, expected, p
     calls = _count_solver_calls(monkeypatch)
     assert max_graph_resilience(classic(name), 4) == expected
     assert calls[0] == pinned
+
+
+def test_certificate_store_keeps_every_certificate():
+    """No certificate is ever dropped: 200 one-bit masks, each certified only
+    by itself, take 200 solves and leave 200 certificates, which answer a
+    second pass over the same masks without a solve."""
+    calls = 0
+
+    def solve(mask):
+        nonlocal calls
+        calls += 1
+        return mask
+
+    certs = []
+    masks = [1 << i for i in range(200)]
+    assert resilience._first_uncovered(masks, solve, certs) == (None, 200)
+    assert calls == 200
+    assert len(certs) == 200
+    assert resilience._first_uncovered(masks, solve, certs) == (None, 200)
+    assert calls == 200

@@ -341,7 +341,8 @@ def test_model_cache_solver_calls_pinned(monkeypatch):
 
 
 def test_max_sat_resilience_solver_calls_pinned(monkeypatch):
-    """Perf gate: the r = 0 scan seeds the model cache for the whole sweep."""
+    """Perf gate: every model found, from the r = 0 scan on, serves the
+    whole sweep."""
     calls = 0
     solve = sat._Solver.solve
 
@@ -353,7 +354,7 @@ def test_max_sat_resilience_solver_calls_pinned(monkeypatch):
     monkeypatch.setattr(sat._Solver, "solve", counting)
     psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
     assert max_sat_resilience(psi) == 8
-    assert calls == 4074
+    assert calls == 446
 
 
 def test_solver_reuse_matches_oracle():

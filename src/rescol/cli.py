@@ -5,7 +5,10 @@ carry commentary such as wall-clock time and are not part of the stable
 record.  Resilience scans run in one process; ``--threads`` is still
 accepted for existing scripts and changes nothing in a report.  Exit
 codes: 0 for a positive verdict or successful output, 1 for a negative
-verdict, 2 for input or usage errors, 3 for an exceeded size budget.
+verdict, 2 for an InputError (bad arguments or input text; a ParseError is
+one) or an unreadable file, 3 for an exceeded size budget.  The library
+checks its own arguments; any other ValueError is an internal error and is
+raised, not reported as exit 2.
 
 Graph witnesses are printed as comma-separated ``u-v`` pairs, 1-indexed to
 match DIMACS files; formula witnesses as comma-separated ``x<var>=<0|1>``
@@ -22,7 +25,7 @@ import time
 from typing import TextIO
 
 from .coloring import chromatic_number, is_k_colorable
-from .graphs import CLASSIC_NAMES, Graph, ParseError, classic, parse_graph, serialize_graph
+from .graphs import Graph, InputError, classic, parse_graph, serialize_graph
 from .reductions import (
     BudgetExceededError,
     blow_up,
@@ -45,13 +48,6 @@ _CLASSICS_TABLE = (
     ("chvatal", 4, 3, True),
 )
 
-# The smallest --param of each parametric classic family; the others take none.
-_PARAM_MIN = {"complete": 1, "complete_minus_matching": 2, "complete_plus_isolated": 1}
-
-
-class UsageError(Exception):
-    """Bad arguments or ill-formed input discovered inside a command."""
-
 
 def _read_text(path: str | None) -> str:
     try:
@@ -60,7 +56,7 @@ def _read_text(path: str | None) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{path or 'stdin'} is not UTF-8 text: {exc}") from None
+        raise InputError(f"{path or 'stdin'} is not UTF-8 text: {exc}") from None
 
 
 def _load_graph(path: str | None) -> Graph:
@@ -89,11 +85,6 @@ def _fixes_witness(fixes: tuple[tuple[int, bool], ...]) -> str:
     return ",".join(f"x{var}={1 if value else 0}" for var, value in fixes)
 
 
-def _check_min(flag: str, value: int, low: int) -> None:
-    if value < low:
-        raise UsageError(f"{flag} must be >= {low}")
-
-
 def _budget() -> int | None:
     raw = os.environ.get("RESILIENCE_BUDGET")
     if raw is None:
@@ -101,22 +92,21 @@ def _budget() -> int | None:
     try:
         value = int(raw)
     except ValueError:
-        raise UsageError(f"RESILIENCE_BUDGET must be an integer, got {raw!r}")
+        raise InputError(f"RESILIENCE_BUDGET must be an integer, got {raw!r}")
     if value < 0:
-        raise UsageError("RESILIENCE_BUDGET must be >= 0")
+        raise InputError("RESILIENCE_BUDGET must be >= 0")
     return value
 
 
 def _cmd_color(args) -> int:
     started = time.perf_counter()
-    _check_min("--k", args.k, 1)
     g = _load_graph(args.file)
+    colors = is_k_colorable(g, args.k)
     out = sys.stdout
     _emit(out, "command", "color")
     _emit(out, "k", args.k)
     _emit(out, "n", g.n)
     _emit(out, "edges", len(g.edges))
-    colors = is_k_colorable(g, args.k)
     _emit(out, "colorable", colors is not None)
     if colors is not None:
         _emit(out, "coloring", ",".join(map(str, colors)))
@@ -127,11 +117,9 @@ def _cmd_color(args) -> int:
 def _cmd_resilience(args) -> int:
     started = time.perf_counter()
     out = sys.stdout
-    _check_min("--r", args.r, 0)
     if args.mode == "graph":
         if args.k is None:
-            raise UsageError("graph mode requires --k")
-        _check_min("--k", args.k, 1)
+            raise InputError("graph mode requires --k")
         g = _load_graph(args.file)
         sizes = (("k", args.k), ("n", g.n), ("edges", len(g.edges)))
         verdict = is_r_resiliently_k_colorable(g, args.r, args.k)
@@ -170,29 +158,20 @@ def _cmd_reduce(args) -> int:
     _emit(report, "input_clauses", len(phi.clauses))
     if args.kind == "blowup":
         if args.s is None:
-            raise UsageError("blowup requires --s")
-        _check_min("--s", args.s, 1)
+            raise InputError("blowup requires --s")
         psi = blow_up(phi, args.s, clause_budget=budget)
         artifact = serialize_cnf(psi)
     elif args.kind == "shrink":
-        if phi.width < 2:
-            raise UsageError("shrink-down requires width >= 2")
         psi = shrink_down(phi)
         artifact = serialize_cnf(psi)
     elif args.kind == "chain":
         if args.r is None:
-            raise UsageError("chain requires --r")
-        if args.r < 2:
-            raise UsageError("hardness chain requires r >= 2")
-        if phi.width > 3:
-            raise UsageError("input must have width <= 3")
+            raise InputError("chain requires --r")
         psi = hardness_chain(args.r, phi, clause_budget=budget)
         artifact = serialize_cnf(psi)
     else:  # to-coloring
         if args.output is None:
-            raise UsageError("to-coloring requires -o for the graph and sidecar files")
-        if phi.width > 6:
-            raise UsageError("clause width exceeds 6")
+            raise InputError("to-coloring requires -o for the graph and sidecar files")
         gg = six_cnf_to_graph(phi, vertex_budget=budget)
         artifact = serialize_graph(gg.graph)
         sidecar_path = args.output + ".gadgets.json"
@@ -219,22 +198,11 @@ def _cmd_reduce(args) -> int:
 def _cmd_classics(args) -> int:
     started = time.perf_counter()
     out = sys.stdout
-    if args.name is None and args.param is not None:
-        raise UsageError("--param requires a graph name")
     if args.name is not None:
-        name = args.name.replace("-", "_")
-        if name not in CLASSIC_NAMES:
-            raise UsageError(f"unknown classic graph {args.name!r}; choices: "
-                             + ", ".join(sorted(n.replace('_', '-') for n in CLASSIC_NAMES)))
-        if name not in _PARAM_MIN:
-            if args.param is not None:
-                raise UsageError(f"{name} takes no parameter")
-        elif args.param is None:
-            raise UsageError(f"{name} requires a parameter k")
-        elif args.param < _PARAM_MIN[name]:
-            raise UsageError(f"{name}(k) requires k >= {_PARAM_MIN[name]}")
-        sys.stdout.write(serialize_graph(classic(name, args.param)))
+        sys.stdout.write(serialize_graph(classic(args.name.replace("-", "_"), args.param)))
         return 0
+    if args.param is not None:
+        raise InputError("--param requires a graph name")
     _emit(out, "command", "classics")
     all_match = True
     for name, k, published, exact in _CLASSICS_TABLE:
@@ -320,12 +288,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_min("--threads", args.threads, 1)
+        if args.threads < 1:
+            raise InputError("--threads must be >= 1")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, UsageError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import Graph
+from .graphs import Graph, InputError
 
 Coloring = tuple[int, ...]
 
@@ -124,7 +124,7 @@ def _solve_masks(
 def is_k_colorable(g: Graph, k: int) -> Coloring | None:
     """Return a proper k-coloring as a tuple, or None if none exists."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     got = _solve_masks(g.n, g.adjacency, k)
     return tuple(got) if got is not None else None
 
@@ -132,19 +132,20 @@ def is_k_colorable(g: Graph, k: int) -> Coloring | None:
 def extend_coloring(g: Graph, k: int, fixed: Mapping[int, int]) -> Coloring | None:
     """Complete a partial coloring to a proper k-coloring, or return None."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     got = _solve_masks(g.n, g.adjacency, k, fixed)
     return tuple(got) if got is not None else None
 
 
 def chromatic_number(g: Graph) -> int:
-    """Smallest k admitting a proper k-coloring, by linear search from 1."""
+    """Smallest k admitting a proper k-coloring, by linear search from 1;
+    n when no k < n works, since every graph on n vertices is n-colorable."""
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph is undefined")
-    for k in range(1, g.n + 1):
+    for k in range(1, g.n):
         if _solve_masks(g.n, g.adjacency, k) is not None:
             return k
-    raise AssertionError("unreachable: K_n is always n-colorable")
+    return g.n
 
 
 def greedy_color_bounded_degree(g: Graph, k: int) -> Coloring | DegreeWitness:
@@ -156,7 +157,7 @@ def greedy_color_bounded_degree(g: Graph, k: int) -> Coloring | DegreeWitness:
     returned as a DegreeWitness instead.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     adj = g.adjacency
     for v in range(g.n):
         if adj[v].bit_count() >= k:

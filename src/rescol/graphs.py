@@ -11,7 +11,12 @@ from functools import cached_property
 from typing import Iterable
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """An invalid argument or input text from the caller; any other
+    ValueError raised by rescol is an internal error."""
+
+
+class ParseError(InputError):
     """Malformed input text; the message names the offending line."""
 
 
@@ -176,14 +181,14 @@ def _chvatal() -> Graph:
 
 def complete_graph(k: int) -> Graph:
     if k < 1:
-        raise ValueError("complete(k) requires k >= 1")
+        raise InputError("complete(k) requires k >= 1")
     return Graph.from_edges(k, itertools.combinations(range(k), 2))
 
 
 def complete_minus_matching(k: int) -> Graph:
     """The complete graph on k + 2 vertices with edges (0,1) and (2,3) removed."""
     if k < 2:
-        raise ValueError("complete_minus_matching(k) requires k >= 2")
+        raise InputError("complete_minus_matching(k) requires k >= 2")
     edges = set(itertools.combinations(range(k + 2), 2))
     edges -= {(0, 1), (2, 3)}
     return Graph.from_edges(k + 2, edges)
@@ -192,7 +197,7 @@ def complete_minus_matching(k: int) -> Graph:
 def complete_plus_isolated(k: int) -> Graph:
     """The complete graph on vertices 0..k-1 plus the isolated vertex k."""
     if k < 1:
-        raise ValueError("complete_plus_isolated(k) requires k >= 1")
+        raise InputError("complete_plus_isolated(k) requires k >= 1")
     return Graph.from_edges(k + 1, itertools.combinations(range(k), 2))
 
 
@@ -216,13 +221,13 @@ def classic(name: str, k: int | None = None) -> Graph:
     """Build a named graph; parametric families (complete*) require k."""
     if name in _FIXED_CLASSICS:
         if k is not None:
-            raise ValueError(f"{name} takes no parameter")
+            raise InputError(f"{name} takes no parameter")
         return _FIXED_CLASSICS[name]()
     if name in _PARAMETRIC_CLASSICS:
         if k is None:
-            raise ValueError(f"{name} requires a parameter k")
+            raise InputError(f"{name} requires a parameter k")
         return _PARAMETRIC_CLASSICS[name](k)
-    raise ValueError(f"unknown classic graph {name!r}")
+    raise InputError(f"unknown classic graph {name!r}; choices: {', '.join(CLASSIC_NAMES)}")
 
 
 def add_edges(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:

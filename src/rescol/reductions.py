@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .coloring import extend_coloring, validate_coloring
-from .graphs import Graph, add_edges, non_edges, normalize_edge
+from .graphs import Graph, InputError, add_edges, non_edges, normalize_edge
 from .sat import CnfFormula
 
 DEFAULT_CLAUSE_BUDGET = 10**6
@@ -51,7 +51,7 @@ def blow_up(phi: CnfFormula, s: int, *, clause_budget: int | None = None) -> Cnf
     clause product, enumerated in lexicographic order of clause indices.
     """
     if s < 1:
-        raise ValueError("s must be >= 1")
+        raise InputError("s must be >= 1")
     budget = DEFAULT_CLAUSE_BUDGET if clause_budget is None else clause_budget
     m = len(phi.clauses)
     if m**s > budget:
@@ -81,7 +81,7 @@ def shrink_down(phi: CnfFormula) -> CnfFormula:
     halves can be wiped out with fewer fixes.
     """
     if phi.width < 2:
-        raise ValueError("shrink-down requires width >= 2")
+        raise InputError("shrink-down requires width >= 2")
     n = phi.num_vars
     out: list[tuple[int, ...]] = []
     for j, cl in enumerate(phi.clauses):
@@ -149,9 +149,9 @@ def hardness_chain(r: int, phi3: CnfFormula, *, clause_budget: int | None = None
     before each round so no clause is ever split below the safe size.
     """
     if r < 2:
-        raise ValueError("hardness chain requires r >= 2")
+        raise InputError("hardness chain requires r >= 2")
     if phi3.width > 3:
-        raise ValueError("input must have width <= 3")
+        raise InputError("input must have width <= 3")
     budget = DEFAULT_CLAUSE_BUDGET if clause_budget is None else clause_budget
     s = r + 1
     psi = blow_up(_exact_three_cnf(phi3), s, clause_budget=budget)
@@ -303,7 +303,7 @@ def six_cnf_to_graph(phi: CnfFormula, *, vertex_budget: int | None = None) -> Ga
     proper 3-coloring decodes to a satisfying assignment.
     """
     if phi.width > 6:
-        raise ValueError("clause width exceeds 6")
+        raise InputError("clause width exceeds 6")
     if phi.has_empty_clause:
         raise ValueError("formula contains an empty clause")
     budget = DEFAULT_VERTEX_BUDGET if vertex_budget is None else vertex_budget
@@ -353,7 +353,7 @@ def three_sat_to_coloring(
     when phi3 is satisfiable the output stays 3-colorable after any single
     edge addition.  Pipeline: blow up with s=2 (width <= 6), then encode."""
     if phi3.width > 3:
-        raise ValueError("input must have width <= 3")
+        raise InputError("input must have width <= 3")
     doubled = blow_up(phi3, 2, clause_budget=clause_budget)
     return six_cnf_to_graph(doubled, vertex_budget=vertex_budget)
 

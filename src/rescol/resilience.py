@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .coloring import _solve_masks
-from .graphs import Graph, non_edges
+from .graphs import Graph, InputError, non_edges
 
 SATURATED = "saturated"
 
@@ -119,9 +119,9 @@ def is_r_resiliently_k_colorable(g: Graph, r: int, k: int) -> GraphResilienceVer
     including the witness (all of them when resilient).
     """
     if r < 0:
-        raise ValueError("r must be >= 0")
+        raise InputError("r must be >= 0")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     candidates = non_edges(g)
     size = min(r, len(candidates))
     witness, checked = _first_failure(g, k, candidates, size, [])
@@ -137,7 +137,7 @@ def max_graph_resilience(g: Graph, k: int) -> int | str:
     the whole sweep over r.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     if g.n <= k:
         return SATURATED
     candidates = non_edges(g)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .graphs import ParseError
+from .graphs import InputError, ParseError
 from .resilience import SATURATED, _bits, _first_uncovered, _max_resilience
 
 Clause = tuple[int, ...]
@@ -400,7 +400,7 @@ def is_r_resilient(phi: CnfFormula, r: int) -> SatResilienceVerdict:
     model of the restricted formula.
     """
     if r < 0:
-        raise ValueError("r must be >= 0")
+        raise InputError("r must be >= 0")
     size = min(r, phi.num_vars)
     witness, checked = _first_failure(_Solver(phi), [], size)
     return SatResilienceVerdict(witness is None, witness, size, checked)

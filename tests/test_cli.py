@@ -3,7 +3,8 @@
 Every test drives ``main(argv)`` in process and inspects the key=value
 report, the artifact stream, and the exit code.  Lines starting with '#'
 are commentary (wall time) and are excluded whenever two reports are
-compared.
+compared.  The error-boundary tests at the end also call the library
+directly: exit 2 is for InputError, and every other ValueError is raised.
 """
 
 import io
@@ -11,12 +12,38 @@ import json
 
 import pytest
 
+import rescol
 from rescol.cli import main
-from rescol.coloring import is_k_colorable, validate_coloring
-from rescol.graphs import Graph, classic, complete_graph, parse_graph, serialize_graph
-from rescol.reductions import blow_up, hardness_chain, shrink_down, six_cnf_to_graph
-from rescol.resilience import is_r_resiliently_k_colorable
-from rescol.sat import CnfFormula, is_r_resilient, parse_cnf, serialize_cnf
+from rescol.coloring import (
+    extend_coloring,
+    greedy_color_bounded_degree,
+    is_k_colorable,
+    validate_coloring,
+)
+from rescol.graphs import (
+    Graph,
+    InputError,
+    ParseError,
+    add_edges,
+    classic,
+    complete_graph,
+    complete_minus_matching,
+    complete_plus_isolated,
+    normalize_edge,
+    parse_graph,
+    serialize_graph,
+)
+from rescol.reductions import (
+    ContractCheck,
+    ContractReport,
+    blow_up,
+    hardness_chain,
+    shrink_down,
+    six_cnf_to_graph,
+    three_sat_to_coloring,
+)
+from rescol.resilience import is_r_resiliently_k_colorable, max_graph_resilience
+from rescol.sat import CnfFormula, Restriction, is_r_resilient, parse_cnf, serialize_cnf
 
 
 @pytest.fixture(autouse=True)
@@ -71,6 +98,15 @@ def test_color_exit_code_one_when_uncolorable(tmp_path, capsys):
     assert rc == 1
     assert out["colorable"] == "false"
     assert "coloring" not in out
+
+
+def test_color_empty_graph(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("p edge 0 0\n"))
+    rc = main(["color", "--k", "1"])
+    out = report_dict(capsys.readouterr().out)
+    assert rc == 0
+    assert out["colorable"] == "true"
+    assert out["coloring"] == ""
 
 
 def test_color_reads_stdin_by_default(monkeypatch, capsys):
@@ -238,10 +274,12 @@ def test_reduce_budget_env_exceeded(tmp_path, capsys, monkeypatch):
 
 
 def test_reduce_budget_env_must_be_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RESILIENCE_BUDGET", "lots")
-    rc = main(["reduce", write_cnf(tmp_path, CnfFormula.make(1, ((1,),))), "--kind", "blowup", "--s", "2"])
-    assert rc == 2
-    assert "must be an integer" in capsys.readouterr().err
+    path = write_cnf(tmp_path, CnfFormula.make(1, ((1,),)))
+    for value, message in (("lots", "must be an integer"), ("-1", "must be >= 0")):
+        monkeypatch.setenv("RESILIENCE_BUDGET", value)
+        rc = main(["reduce", path, "--kind", "blowup", "--s", "2"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 def test_reduce_to_coloring_requires_output(tmp_path, capsys):
@@ -318,6 +356,24 @@ def test_verify_gadgets_reports_counts(capsys):
     assert out["ok"] == "true"
 
 
+def test_verify_gadgets_reports_failures(monkeypatch, capsys):
+    report = ContractReport((
+        ContractCheck("literal", "survival", "00", True),
+        ContractCheck("clause", "survival", "01", False, "edge (1, 2) kills it"),
+    ))
+    monkeypatch.setattr("rescol.cli.verify_gadget_contracts", lambda: report)
+    rc = main(["verify-gadgets"])
+    lines = stable_lines(capsys.readouterr().out)
+    assert rc == 1
+    assert lines == [
+        "command=verify-gadgets",
+        "checks_passed=1",
+        "checks_failed=1",
+        "failure=clause survival 01 edge (1, 2) kills it",
+        "ok=false",
+    ]
+
+
 def test_thread_count_does_not_change_report(tmp_path, capsys):
     path = write_graph(tmp_path, classic("durer"))
     argv = ["resilience", path, "--mode", "graph", "--r", "2", "--k", "3"]
@@ -388,8 +444,10 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
     files["out_of_range"].write_text("p edge 3 1\ne 1 4\n")
     files["binary"].write_bytes(b"p edge 3 1\n\xff\xfe\x00\x81\n")
     rc = main([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error:" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -400,8 +458,19 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
         ("hardness_chain", ["reduce", "{cnf}", "--kind", "chain", "--r", "2"]),
         ("six_cnf_to_graph", ["reduce", "{cnf}", "--kind", "to-coloring", "-o", "{out}"]),
         ("classic", ["classics", "petersen"]),
+        (
+            "is_r_resiliently_k_colorable",
+            ["resilience", "{graph}", "--mode", "graph", "--r", "1", "--k", "3"],
+        ),
+        ("is_r_resilient", ["resilience", "{cnf}", "--mode", "sat", "--r", "1"]),
+        ("blow_up", ["reduce", "{cnf}", "--kind", "blowup", "--s", "2"]),
+        ("max_graph_resilience", ["classics"]),
+        ("verify_gadget_contracts", ["verify-gadgets"]),
     ],
-    ids=["color", "shrink", "chain", "to-coloring", "classic"],
+    ids=[
+        "color", "shrink", "chain", "to-coloring", "classic",
+        "resilience-graph", "resilience-sat", "blowup", "classics-table", "verify-gadgets",
+    ],
 )
 def test_library_value_error_is_not_a_usage_error(tmp_path, monkeypatch, target, argv):
     def broken(*args, **kwargs):
@@ -415,3 +484,49 @@ def test_library_value_error_is_not_a_usage_error(tmp_path, monkeypatch, target,
     monkeypatch.setattr(f"rescol.cli.{target}", broken)
     with pytest.raises(ValueError, match="internal failure"):
         main([arg.format(**files) for arg in argv])
+
+
+def test_input_errors_are_input_error():
+    assert issubclass(InputError, ValueError)
+    assert issubclass(ParseError, InputError)
+    assert rescol.InputError is InputError
+    g = classic("petersen")
+    phi = CnfFormula.make(2, [(1, 2)])
+    wide = CnfFormula.make(7, [tuple(range(1, 8))])
+    checks = [
+        lambda: is_k_colorable(g, 0),
+        lambda: extend_coloring(g, 0, {}),
+        lambda: greedy_color_bounded_degree(g, 0),
+        lambda: is_r_resiliently_k_colorable(g, -1, 3),
+        lambda: is_r_resiliently_k_colorable(g, 1, 0),
+        lambda: max_graph_resilience(g, 0),
+        lambda: is_r_resilient(phi, -1),
+        lambda: blow_up(phi, 0),
+        lambda: shrink_down(CnfFormula.make(1, [(1,)])),
+        lambda: hardness_chain(1, phi),
+        lambda: hardness_chain(2, wide),
+        lambda: three_sat_to_coloring(wide),
+        lambda: six_cnf_to_graph(wide),
+        lambda: classic("moebius"),
+        lambda: classic("petersen", 3),
+        lambda: classic("complete"),
+        lambda: complete_graph(0),
+        lambda: complete_minus_matching(1),
+        lambda: complete_plus_isolated(0),
+    ]
+    for check in checks:
+        with pytest.raises(InputError):
+            check()
+    # constructor invariants and checks of values the library builds itself
+    # stay plain ValueErrors: a failure there is an internal error
+    internal = [
+        lambda: Graph(-1, frozenset()),
+        lambda: normalize_edge(1, 1),
+        lambda: CnfFormula(1, ((2,),)),
+        lambda: add_edges(complete_graph(3), [(0, 1)]),
+        lambda: Restriction(((2, True), (1, False))),
+    ]
+    for check in internal:
+        with pytest.raises(ValueError) as excinfo:
+            check()
+        assert not isinstance(excinfo.value, InputError)

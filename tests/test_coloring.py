@@ -195,10 +195,18 @@ def test_chromatic_numbers():
     assert chromatic_number(classic("grotzsch")) == 4
     assert chromatic_number(classic("chvatal")) == 4
     assert chromatic_number(complete_graph(5)) == 5
+    assert chromatic_number(complete_graph(1)) == 1
     assert chromatic_number(Graph(4, frozenset())) == 1
     assert chromatic_number(cycle(5)) == 3
     with pytest.raises(ValueError):
         chromatic_number(Graph(0, frozenset()))
+
+
+def test_empty_graph_colorings():
+    g = Graph(0, frozenset())
+    assert is_k_colorable(g, 1) == ()
+    assert extend_coloring(g, 2, {}) == ()
+    assert greedy_color_bounded_degree(g, 1) == ()
 
 
 def test_greedy_examples():

@@ -136,6 +136,14 @@ def test_max_saturated_iff_small():
     assert max_graph_resilience(Graph(4, frozenset()), 2) == 2
 
 
+def test_empty_graph_resilience():
+    g = Graph(0, frozenset())
+    verdict = is_r_resiliently_k_colorable(g, 2, 1)
+    assert verdict.resilient and verdict.witness is None
+    assert (verdict.r, verdict.subsets_checked) == (0, 1)
+    assert max_graph_resilience(g, 1) == SATURATED
+
+
 def test_max_agrees_with_direct_scan():
     rng = random.Random(33)
     for _ in range(40):

@@ -179,6 +179,13 @@ def _chvatal() -> Graph:
     return Graph.from_edges(12, _CHVATAL_EDGES)
 
 
+def _clebsch() -> Graph:
+    # The folded 5-cube: 4-bit words, adjacent when they differ in exactly one
+    # bit or in all four.  16 vertices, 40 edges, 5-regular, triangle-free.
+    pairs = itertools.combinations(range(16), 2)
+    return Graph.from_edges(16, [(u, v) for u, v in pairs if u ^ v in (1, 2, 4, 8, 15)])
+
+
 def complete_graph(k: int) -> Graph:
     if k < 1:
         raise InputError("complete(k) requires k >= 1")
@@ -206,6 +213,7 @@ _FIXED_CLASSICS = {
     "durer": _durer,
     "grotzsch": _grotzsch,
     "chvatal": _chvatal,
+    "clebsch": _clebsch,
 }
 
 _PARAMETRIC_CLASSICS = {

@@ -9,19 +9,26 @@ There is one solver: an incremental DPLL built once per formula, which
 answers each restriction as a set of assumed literals and undoes them
 afterwards.  Its one trail records every assignment, and each clause is
 watched through its first two slots (the MiniSat layout).  Resilience scans
-keep every model found so far; a restriction that agrees with a kept model
-is survived without a solve.  Such hits can never flip a verdict, because
-the kept model is a model of the restricted formula.
+keep every model found so far and run the lex-prefix search of
+``rescol.resilience`` over variable prefixes, so a restriction that agrees
+with a kept model is survived without a solve, and without being visited.
+Such hits can never flip a verdict, because the kept model is a model of
+the restricted formula.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graphs import InputError, ParseError
-from .resilience import SATURATED, _bits, _first_uncovered, _max_resilience
+from .resilience import (
+    SATURATED,
+    _bits,
+    _CertificateStore,
+    _first_uncovered,
+    _max_resilience,
+)
 
 Clause = tuple[int, ...]
 Assignment = dict[int, bool]
@@ -350,36 +357,37 @@ def restrict(phi: CnfFormula, rho: Restriction) -> CnfFormula:
 
 
 def _model_mask(model: list[bool]) -> int:
-    """The literals a model makes true, as a mask with bit 2*variable + value."""
-    return sum(1 << (2 * var + val) for var, val in enumerate(model, start=1))
+    """The literals a model makes true, as a mask with bit 2*(variable-1) + value."""
+    return sum(1 << (2 * var + val) for var, val in enumerate(model))
 
 
 def _fixes(mask: int) -> list[tuple[int, bool]]:
     """The (variable, value) pairs of a literal mask, by ascending variable."""
-    return [(bit >> 1, bool(bit & 1)) for bit in _bits(mask)]
+    return [((bit >> 1) + 1, bool(bit & 1)) for bit in _bits(mask)]
 
 
-def _first_failure(solver: _Solver, certs: list[int], size: int) -> tuple[Restriction | None, int]:
-    """Scan the size-restrictions in canonical order; return the first one
-    that kills the formula (or None) and the number checked.
-
-    A restriction is the mask of the literals it makes true, so the shared
-    scan can answer it from cached models; only a cache miss or the witness
-    is decoded back to (variable, value) pairs.
-    """
-    literals = [(1 << 2 * var, 2 << 2 * var) for var in range(1, solver.num_vars + 1)]
-    masks = map(
-        sum,
-        itertools.chain.from_iterable(
-            itertools.product(*pairs) for pairs in itertools.combinations(literals, size)
-        ),
-    )
+def _model_certifier(solver: _Solver) -> Callable[[int], int | None]:
+    """The solve of a formula scan: a literal mask maps to the literal mask of
+    a model that makes those literals true, or to None when there is none."""
 
     def solve(mask: int) -> int | None:
         model = solver.solve([var if val else -var for var, val in _fixes(mask)])
         return None if model is None else _model_mask(model)
 
-    failure, checked = _first_uncovered(masks, solve, certs)
+    return solve
+
+
+def _first_failure(
+    solver: _Solver, store: _CertificateStore, size: int
+) -> tuple[Restriction | None, int]:
+    """Scan the size-restrictions in canonical order; return the first one
+    that kills the formula (or None) and the number checked.
+
+    Each variable is a group of two literals, False before True, so the
+    shared scan can answer a restriction from kept models; only a cache miss
+    or the witness is decoded back to (variable, value) pairs.
+    """
+    failure, checked = _first_uncovered(store, size, _model_certifier(solver))
     return (None if failure is None else Restriction(tuple(_fixes(failure)))), checked
 
 
@@ -394,15 +402,16 @@ def is_r_resilient(phi: CnfFormula, r: int) -> SatResilienceVerdict:
     resilient).
 
     One incremental solver serves the whole scan, each restriction pushed as
-    assumptions.  Every model found so far is kept, the most recently hit
-    first; a restriction that agrees with a kept model is survived without
-    a solve.  Such hits can never flip a verdict: the kept model is itself a
-    model of the restricted formula.
+    assumptions.  Every model found so far is kept, and the search over
+    variable prefixes solves only the restrictions that no kept model agrees
+    with; restrictions_checked is computed from the witness's rank.  Such
+    hits can never flip a verdict: the kept model is itself a model of the
+    restricted formula.
     """
     if r < 0:
         raise InputError("r must be >= 0")
     size = min(r, phi.num_vars)
-    witness, checked = _first_failure(_Solver(phi), [], size)
+    witness, checked = _first_failure(_Solver(phi), _CertificateStore(phi.num_vars, 2), size)
     return SatResilienceVerdict(witness is None, witness, size, checked)
 
 
@@ -415,8 +424,9 @@ def max_sat_resilience(phi: CnfFormula) -> int | str:
     model found serve the whole sweep over r, from r = 0.
     """
     solver = _Solver(phi)
+    store = _CertificateStore(phi.num_vars, 2)
     return _max_resilience(
-        lambda r, certs: _first_failure(solver, certs, r)[0],
+        lambda r: _first_failure(solver, store, r)[0],
         phi.num_vars,
         "formula is not even 0-resilient",
     )

@@ -124,3 +124,43 @@ def oracle_graph_first_failure(g: Graph, r: int, k: int):
         if not cur.any():
             return tuple(candidates[i] for i in picks), checked
     return None, checked
+
+
+def canonical_masks(groups: int, choices: int, size: int):
+    """Every size-subset of a grouped universe as a mask, in canonical order:
+    group subsets lexicographically, then choice vectors in product order,
+    the first group most significant.  Bit g * choices + c is choice c of
+    group g."""
+    for picked in itertools.combinations(range(groups), size):
+        for vector in itertools.product(range(choices), repeat=size):
+            yield sum(1 << (g * choices + c) for g, c in zip(picked, vector))
+
+
+def reference_first_uncovered(masks, solve, certs: list[int]):
+    """The plain certificate scan: check each mask against every kept
+    certificate (most recently hit first), solve it when none contains it.
+    Returns the first mask solve rejects (or None) and the masks checked."""
+    checked = 0
+    for mask in masks:
+        checked += 1
+        for i, cert in enumerate(certs):
+            if mask & ~cert == 0:
+                if i:
+                    certs.insert(0, certs.pop(i))
+                break
+        else:
+            cert = solve(mask)
+            if cert is None:
+                return mask, checked
+            certs.insert(0, cert)
+    return None, checked
+
+
+def counted(solve, calls: list[int], slot: int):
+    """solve, counting its calls in calls[slot]."""
+
+    def counting(mask):
+        calls[slot] += 1
+        return solve(mask)
+
+    return counting

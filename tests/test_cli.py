@@ -327,10 +327,11 @@ def test_classics_table_rows_are_frozen(capsys):
 
 
 def test_classics_emits_named_graph_as_dimacs(capsys):
-    rc = main(["classics", "petersen"])
-    text = capsys.readouterr().out
-    assert rc == 0
-    assert parse_graph(text) == classic("petersen")
+    for name in ("petersen", "clebsch"):
+        rc = main(["classics", name])
+        text = capsys.readouterr().out
+        assert rc == 0
+        assert parse_graph(text) == classic(name)
 
 
 def test_classics_name_accepts_dashes_and_param(capsys):

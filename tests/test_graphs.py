@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import random_graph
+from rescol.coloring import chromatic_number
 from rescol.graphs import (
     CLASSIC_NAMES,
     Graph,
@@ -155,6 +156,15 @@ def test_chvatal_shape_and_girth_four():
     assert has_square
 
 
+def test_clebsch_shape():
+    g = classic("clebsch")
+    assert (g.n, len(g.edges)) == (16, 40)
+    assert set(g.degrees()) == {5}
+    adj = g.adjacency
+    assert all(adj[u] & adj[v] == 0 for u, v in g.edges)  # triangle-free
+    assert chromatic_number(g) == 4
+
+
 def test_complete_families():
     assert classic("complete", 4) == complete_graph(4)
     assert len(complete_graph(4).edges) == 6
@@ -180,6 +190,7 @@ def test_classic_dispatch_errors():
         "durer",
         "grotzsch",
         "chvatal",
+        "clebsch",
         "complete",
         "complete_minus_matching",
         "complete_plus_isolated",

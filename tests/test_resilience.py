@@ -1,10 +1,17 @@
 """Edge-addition resilience: verdicts, witnesses, maxima, solver-call pins."""
 import itertools
 import random
+from math import comb
 
 import pytest
 
-from conftest import oracle_graph_first_failure, random_graph
+from conftest import (
+    canonical_masks,
+    counted,
+    oracle_graph_first_failure,
+    random_graph,
+    reference_first_uncovered,
+)
 from rescol.coloring import is_k_colorable
 from rescol.graphs import (
     Graph,
@@ -200,10 +207,20 @@ def test_max_graph_resilience_solver_calls_pinned(monkeypatch, name, expected, p
     assert calls[0] == pinned
 
 
+def test_clebsch_scan_solver_calls_pinned(monkeypatch):
+    """Perf gate: the Clebsch graph is 4-resiliently 5-colorable, and 71
+    solves answer all C(80, 4) subsets."""
+    calls = _count_solver_calls(monkeypatch)
+    verdict = is_r_resiliently_k_colorable(classic("clebsch"), 4, 5)
+    assert verdict.resilient and verdict.witness is None
+    assert verdict.subsets_checked == comb(80, 4) == 1_581_580
+    assert calls[0] == 71
+
+
 def test_certificate_store_keeps_every_certificate():
-    """No certificate is ever dropped: 200 one-bit masks, each certified only
-    by itself, take 200 solves and leave 200 certificates, which answer a
-    second pass over the same masks without a solve."""
+    """No certificate is ever dropped: 200 singleton groups at r = 1, each
+    certified only by itself, take 200 solves and leave 200 certificates,
+    which answer a second scan over the same store without a solve."""
     calls = 0
 
     def solve(mask):
@@ -211,10 +228,47 @@ def test_certificate_store_keeps_every_certificate():
         calls += 1
         return mask
 
-    certs = []
-    masks = [1 << i for i in range(200)]
-    assert resilience._first_uncovered(masks, solve, certs) == (None, 200)
+    store = resilience._CertificateStore(200, 1)
+    assert resilience._first_uncovered(store, 1, solve) == (None, 200)
     assert calls == 200
-    assert len(certs) == 200
-    assert resilience._first_uncovered(masks, solve, certs) == (None, 200)
+    assert len(store.complements) == 200
+    assert resilience._first_uncovered(store, 1, solve) == (None, 200)
     assert calls == 200
+
+
+def test_scan_matches_plain_reference_scan(monkeypatch):
+    """The lex-prefix search solves exactly the subsets that the plain scan
+    solves: same verdict, witness, subsets_checked and solver calls through
+    the public API, and the same results and certificates when one store
+    is carried through r = 0..3 (as the max sweep does), including sizes
+    above the non-edge count."""
+    calls = _count_solver_calls(monkeypatch)
+    rng = random.Random(35)
+    for _ in range(250):
+        g = random_graph(rng, max_n=9)
+        k = rng.randint(1, 4)
+        candidates = non_edges(g)
+        m = len(candidates)
+        solve = resilience._coloring_certifier(g, k, candidates)
+        store = resilience._CertificateStore(m, 1)
+        certs = []
+        for r in range(4):
+            size = min(r, m)
+            ref = [0]
+            failure, checked = reference_first_uncovered(
+                canonical_masks(m, 1, size), counted(solve, ref, 0), []
+            )
+            calls[0] = 0
+            verdict = is_r_resiliently_k_colorable(g, r, k)
+            assert verdict.resilient == (failure is None)
+            if failure is not None:
+                assert verdict.witness == tuple(candidates[i] for i in range(m) if failure >> i & 1)
+            assert verdict.subsets_checked == checked
+            assert calls[0] == ref[0]
+
+            pair = [0, 0]
+            got = resilience._first_uncovered(store, r, counted(solve, pair, 0))
+            want = reference_first_uncovered(canonical_masks(m, 1, r), counted(solve, pair, 1), certs)
+            assert got == want
+            assert pair[0] == pair[1]
+            assert sorted(store.complements) == sorted((1 << m) - 1 & ~cert for cert in certs)

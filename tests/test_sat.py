@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from conftest import brute_satisfiable, oracle_sat_first_failure, random_cnf
+from conftest import (
+    brute_satisfiable,
+    canonical_masks,
+    counted,
+    oracle_sat_first_failure,
+    random_cnf,
+    reference_first_uncovered,
+)
 from rescol import sat
 from rescol.graphs import ParseError
 from rescol.reductions import blow_up
@@ -355,6 +362,52 @@ def test_max_sat_resilience_solver_calls_pinned(monkeypatch):
     psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
     assert max_sat_resilience(psi) == 8
     assert calls == 446
+
+
+def test_scan_matches_plain_reference_scan(monkeypatch):
+    """The lex-prefix search solves exactly the restrictions that the plain
+    scan solves: same verdict, witness, restrictions_checked and solver calls
+    through the public API, and the same results and models when one store
+    is carried through r = 0..3 (as the max sweep does), including sizes
+    above num_vars."""
+    calls = [0]
+    solve_under = sat._Solver.solve
+
+    def counting(self, *args):
+        calls[0] += 1
+        return solve_under(self, *args)
+
+    rng = random.Random(29)
+    for _ in range(250):
+        phi = random_cnf(rng, max_vars=7, max_clauses=8, max_width=4)
+        n = phi.num_vars
+        solve = sat._model_certifier(sat._Solver(phi))
+        store = sat._CertificateStore(n, 2)
+        certs = []
+        for r in range(4):
+            size = min(r, n)
+            ref = [0]
+            failure, checked = reference_first_uncovered(
+                canonical_masks(n, 2, size), counted(solve, ref, 0), []
+            )
+            calls[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(sat._Solver, "solve", counting)
+                verdict = is_r_resilient(phi, r)
+            assert verdict.resilient == (failure is None)
+            if failure is not None:
+                fixes = tuple((i // 2 + 1, bool(i % 2)) for i in range(2 * n) if failure >> i & 1)
+                assert verdict.witness.fixes == fixes
+            assert verdict.restrictions_checked == checked
+            assert calls[0] == ref[0]
+
+            pair = [0, 0]
+            got = sat._first_uncovered(store, r, counted(solve, pair, 0))
+            want = reference_first_uncovered(canonical_masks(n, 2, r), counted(solve, pair, 1), certs)
+            assert got == want
+            assert pair[0] == pair[1]
+            universe = (1 << 2 * n) - 1
+            assert sorted(store.complements) == sorted(universe & ~cert for cert in certs)
 
 
 def test_solver_reuse_matches_oracle():

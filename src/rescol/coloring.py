@@ -5,18 +5,20 @@ descending degree (ties broken by index), colors are tried in ascending
 order, and when no vertex is pre-colored the first vertex in that order is
 pinned to color 0 to cut the color-permutation symmetry.  Pre-colored
 vertices are single-color frames at the bottom of the same search, below
-every other vertex, so a pin conflict is found like any other.  Pruning is by
-per-vertex masks of still-available colors plus conflict-directed
-backjumping: every mask prune is tagged with the position that caused it, so
-a dead end jumps straight back to the deepest assignment actually involved
-instead of stepping through unrelated vertices.  Backjumping only skips
-branches that provably contain no proper coloring, so the coloring returned
-is still the first one in search order.
+every other vertex, so a pin conflict is found like any other.  The search
+walks each graph's neighbor lists, so a color try costs the vertex's
+degree.  Pruning is forward checking on per-vertex masks of still-available
+colors plus conflict-directed backjumping (Prosser's FC-CBJ): every removed
+color records the position that removed it, so a dead end jumps straight
+back to the deepest assignment actually involved instead of stepping
+through unrelated vertices.  Backjumping only skips branches that provably
+contain no proper coloring, so the coloring returned is still the first one
+in search order, whatever the order of the neighbor lists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .graphs import Graph, InputError
 
@@ -33,41 +35,50 @@ class DegreeWitness:
 
 def _solve_masks(
     n: int,
-    adj: tuple[int, ...] | list[int],
+    nbrs: Sequence[Sequence[int]],
     k: int,
     fixed: Mapping[int, int] | None = None,
 ) -> list[int] | None:
-    """Backtracking core over bitmask adjacency; returns a color list or None.
+    """Backtracking core over neighbor lists; returns a color list or None.
 
     Each pinned vertex of `fixed` is a frame at the bottom of the search, in
     `fixed`'s order, whose domain is its one color; a pin conflict is an
     ordinary wipe-out.  Pins disable the symmetry-breaking root assignment.
+    ``why[c][u]`` is the position whose assignment removed color c from u's
+    mask.  Only removed colors, ``base[u] & ~avail[u]``, are ever read, so
+    undoing a prune restores the mask and leaves ``why`` alone.  A frame's
+    conflict set is built only on a wipe-out or when its colors run out.
     """
-    full = (1 << k) - 1
-    color = [-1] * n
-    avail = [full] * n
     fixed = fixed or {}
+    base = [(1 << k) - 1] * n  # per vertex: its colors before any prune
     for v, c in fixed.items():
-        if not 0 <= v < n:
-            raise ValueError(f"pinned vertex {v} out of range")
-        if not 0 <= c < k:
-            raise ValueError(f"pinned color {c} out of range for k={k}")
-        avail[v] = 1 << c
-
+        base[v] = 1 << c
     order = list(fixed) + sorted(
         (v for v in range(n) if v not in fixed),
-        key=lambda v: (-(adj[v].bit_count()), v),
+        key=lambda v: (-len(nbrs[v]), v),
     )
     if not order:
-        return color
+        return []
     if not fixed:
-        avail[order[0]] = 1  # root takes color 0; any coloring can be renamed to match
+        base[order[0]] = 1  # root takes color 0; any coloring can be renamed to match
+    color = [-1] * n
+    avail = base[:]
+    why = [[0] * n for _ in range(k)]  # color first, so a try binds one row
+
+    def removers(u: int) -> int:
+        """Bitmask of the positions that removed a color from u's mask."""
+        gone = base[u] & ~avail[u]
+        conf = 0
+        while gone:
+            c = (gone & -gone).bit_length() - 1
+            gone &= gone - 1
+            conf |= 1 << why[c][u]
+        return conf
 
     depth = len(order)
     cand = [0] * depth
-    jump = [0] * depth  # positions in conflict with the frame's vertex
+    jump = [0] * depth  # conflicts from the frame's wipe-outs and from jumps back to it
     undo: list[tuple[int, list[int]]] = [(0, [])] * depth
-    past = [0] * n  # per vertex: positions that pruned its mask
     pos = 0
     cand[0] = avail[order[0]]
     while True:
@@ -77,25 +88,21 @@ def _solve_masks(
             c = (m & -m).bit_length() - 1
             cand[pos] = m & (m - 1)
             bit = 1 << c
-            pbit = 1 << pos
+            removed_by = why[c]
             touched = []
             wiped = -1
-            nb = adj[v]
-            while nb:
-                u = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
+            for u in nbrs[v]:
                 if color[u] == -1 and avail[u] & bit:
                     avail[u] &= ~bit
-                    past[u] |= pbit
+                    removed_by[u] = pos
                     touched.append(u)
                     if avail[u] == 0:
                         wiped = u
                         break
             if wiped >= 0:
-                jump[pos] |= past[wiped] & ~pbit
+                jump[pos] |= removers(wiped) & ~(1 << pos)
                 for u in touched:
                     avail[u] |= bit
-                    past[u] &= ~pbit
                 continue
             color[v] = c
             undo[pos] = (bit, touched)
@@ -103,20 +110,18 @@ def _solve_masks(
             if pos == depth:
                 return color
             cand[pos] = avail[order[pos]]
-            jump[pos] = past[order[pos]]
+            jump[pos] = 0
             continue
         # every color failed here; jump to the deepest conflicting position
-        conf = jump[pos]
+        conf = jump[pos] | removers(v)
         if conf == 0:
             return None
         target = conf.bit_length() - 1
         jump[target] |= conf ^ (1 << target)
         for q in range(pos - 1, target - 1, -1):
             qbit, touched = undo[q]
-            pb = 1 << q
             for u in touched:
                 avail[u] |= qbit
-                past[u] &= ~pb
             color[order[q]] = -1
         pos = target
 
@@ -125,7 +130,7 @@ def is_k_colorable(g: Graph, k: int) -> Coloring | None:
     """Return a proper k-coloring as a tuple, or None if none exists."""
     if k < 1:
         raise InputError("k must be >= 1")
-    got = _solve_masks(g.n, g.adjacency, k)
+    got = _solve_masks(g.n, g.neighbors, k)
     return tuple(got) if got is not None else None
 
 
@@ -133,7 +138,12 @@ def extend_coloring(g: Graph, k: int, fixed: Mapping[int, int]) -> Coloring | No
     """Complete a partial coloring to a proper k-coloring, or return None."""
     if k < 1:
         raise InputError("k must be >= 1")
-    got = _solve_masks(g.n, g.adjacency, k, fixed)
+    for v, c in fixed.items():
+        if not 0 <= v < g.n:
+            raise InputError(f"pinned vertex {v} out of range")
+        if not 0 <= c < k:
+            raise InputError(f"pinned color {c} out of range for k={k}")
+    got = _solve_masks(g.n, g.neighbors, k, fixed)
     return tuple(got) if got is not None else None
 
 
@@ -143,7 +153,7 @@ def chromatic_number(g: Graph) -> int:
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph is undefined")
     for k in range(1, g.n):
-        if _solve_masks(g.n, g.adjacency, k) is not None:
+        if _solve_masks(g.n, g.neighbors, k) is not None:
             return k
     return g.n
 
@@ -158,20 +168,18 @@ def greedy_color_bounded_degree(g: Graph, k: int) -> Coloring | DegreeWitness:
     """
     if k < 1:
         raise InputError("k must be >= 1")
-    adj = g.adjacency
+    nbrs = g.neighbors
     for v in range(g.n):
-        if adj[v].bit_count() >= k:
-            return DegreeWitness(vertex=v, degree=adj[v].bit_count())
+        if len(nbrs[v]) >= k:
+            return DegreeWitness(vertex=v, degree=len(nbrs[v]))
     full = (1 << k) - 1
     colors = [0] * g.n
     for v in range(g.n):
         used = 0
-        nb = adj[v]
-        while nb:
-            u = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            if u < v:
-                used |= 1 << colors[u]
+        for u in nbrs[v]:
+            if u > v:
+                break  # neighbors ascend; the rest are not colored yet
+            used |= 1 << colors[u]
         free = full & ~used
         colors[v] = (free & -free).bit_length() - 1
     return tuple(colors)

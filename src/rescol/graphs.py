@@ -1,7 +1,9 @@
 """Simple undirected graphs on vertices 0..n-1, classic instances, and DIMACS I/O.
 
-Graphs are immutable. Adjacency is kept as one integer bitmask per vertex so
-edge queries and the coloring engine stay O(1) per probe.
+Graphs are immutable.  Each graph caches two views of its edges: one
+integer bitmask per vertex, for O(1) edge queries and the resilience scans'
+non-edge lists, and an ascending tuple of neighbors per vertex, which the
+coloring engine walks so a step costs the vertex's degree, not n.
 """
 from __future__ import annotations
 
@@ -54,6 +56,15 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return tuple(adj)
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending tuple of neighbors per vertex."""
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(tuple(sorted(vs)) for vs in nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u] >> v & 1) if u != v else False

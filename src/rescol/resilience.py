@@ -210,12 +210,12 @@ def _coloring_certifier(
     or to None when there is no such coloring."""
 
     def solve(mask: int) -> int | None:
-        adj = list(g.adjacency)
+        nbrs = list(g.neighbors)
         for i in _bits(mask):
             u, v = candidates[i]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        colors = _solve_masks(g.n, adj, k)
+            nbrs[u] += (v,)
+            nbrs[v] += (u,)
+        colors = _solve_masks(g.n, nbrs, k)
         if colors is None:
             return None
         return sum(1 << i for i, (u, v) in enumerate(candidates) if colors[u] != colors[v])

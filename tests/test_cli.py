@@ -497,6 +497,8 @@ def test_input_errors_are_input_error():
     checks = [
         lambda: is_k_colorable(g, 0),
         lambda: extend_coloring(g, 0, {}),
+        lambda: extend_coloring(Graph.from_edges(3, [(0, 1)]), 3, {5: 0}),
+        lambda: extend_coloring(Graph.from_edges(3, [(0, 1)]), 3, {0: 3}),
         lambda: greedy_color_bounded_degree(g, 0),
         lambda: is_r_resiliently_k_colorable(g, -1, 3),
         lambda: is_r_resiliently_k_colorable(g, 1, 0),

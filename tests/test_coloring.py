@@ -1,4 +1,5 @@
 """Exact coloring solver, chromatic number, greedy bounded-degree coloring."""
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from rescol.coloring import (
     validate_coloring,
 )
 from rescol.graphs import Graph, classic, complete_graph, complete_plus_isolated
+from rescol.reductions import three_sat_to_coloring
 from rescol.sat import CnfFormula, is_satisfiable
 
 
@@ -117,6 +119,42 @@ def test_solver_matches_plain_backtracking_reference():
         if g.n and rng.random() < 0.4:
             fixed = {rng.randrange(g.n): rng.randrange(k)}
         assert extend_coloring(g, k, fixed or {}) == reference(g, k, fixed)
+
+
+def planted_3cnf(seed: int, num_vars: int, num_clauses: int, min_true: int) -> CnfFormula:
+    """Clauses over three distinct variables, each with at least min_true
+    literals true under a hidden random assignment."""
+    rng = random.Random(seed)
+    truth = [rng.random() < 0.5 for _ in range(num_vars + 1)]
+    clauses = []
+    while len(clauses) < num_clauses:
+        clause = tuple(
+            v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)
+        )
+        if sum((lit > 0) == truth[abs(lit)] for lit in clause) >= min_true:
+            clauses.append(clause)
+    return CnfFormula.make(num_vars, clauses)
+
+
+@pytest.mark.parametrize(
+    "min_true, digest",
+    [
+        # easy: two planted-true literals per clause
+        (2, "51b9f43ee3d0784ada8b0421ee4ac215d922dc1e163582c61d469c6240547ff0"),
+        # a tail: one planted-true literal per clause; about 165k color tries
+        # and 97k backjumps
+        (1, "99a7b016146d04058e5068d3b2d55d5cae24d7b79675a9c2475ab30ff08d4496"),
+    ],
+    ids=["two-planted", "one-planted-tail"],
+)
+def test_gadget_graph_coloring_is_frozen(min_true, digest):
+    """Past the plain reference's reach: the first 3-coloring of a
+    2,753-vertex gadget graph, frozen as the SHA-256 of its bytes."""
+    g = three_sat_to_coloring(planted_3cnf(0, 8, 12, min_true)).graph
+    assert (g.n, len(g.edges)) == (2753, 5040)
+    colors = is_k_colorable(g, 3)
+    assert validate_coloring(g, colors, 3)
+    assert hashlib.sha256(bytes(colors)).hexdigest() == digest
 
 
 def test_extend_coloring_agrees_with_coloring_cnf():

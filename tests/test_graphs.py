@@ -58,6 +58,7 @@ def test_adjacency_bitmasks_match_edges():
                 expected = (min(u, v), max(u, v)) in g.edges
                 assert bool(g.adjacency[u] >> v & 1) == expected
                 assert g.has_edge(u, v) == expected
+            assert g.neighbors[u] == tuple(v for v in range(g.n) if g.has_edge(u, v))
 
 
 def test_degree_helpers():

@@ -25,7 +25,7 @@ import time
 from typing import TextIO
 
 from .coloring import chromatic_number, is_k_colorable
-from .graphs import Graph, InputError, classic, parse_graph, serialize_graph
+from .graphs import InputError, classic, parse_graph, serialize_graph
 from .reductions import (
     BudgetExceededError,
     blow_up,
@@ -36,7 +36,7 @@ from .reductions import (
     verify_gadget_contracts,
 )
 from .resilience import SATURATED, is_r_resiliently_k_colorable, max_graph_resilience
-from .sat import CnfFormula, is_r_resilient, parse_cnf, serialize_cnf
+from .sat import is_r_resilient, parse_cnf, serialize_cnf
 
 # Rows recomputed by the classics table: graph, k, published max resilience,
 # and whether that value is exact or only a lower bound.
@@ -57,14 +57,6 @@ def _read_text(path: str | None) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path or 'stdin'} is not UTF-8 text: {exc}") from None
-
-
-def _load_graph(path: str | None) -> Graph:
-    return parse_graph(_read_text(path))
-
-
-def _load_cnf(path: str | None) -> CnfFormula:
-    return parse_cnf(_read_text(path))
 
 
 def _emit(out: TextIO, key: str, value) -> None:
@@ -100,7 +92,7 @@ def _budget() -> int | None:
 
 def _cmd_color(args) -> int:
     started = time.perf_counter()
-    g = _load_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     colors = is_k_colorable(g, args.k)
     out = sys.stdout
     _emit(out, "command", "color")
@@ -120,13 +112,13 @@ def _cmd_resilience(args) -> int:
     if args.mode == "graph":
         if args.k is None:
             raise InputError("graph mode requires --k")
-        g = _load_graph(args.file)
+        g = parse_graph(_read_text(args.file))
         sizes = (("k", args.k), ("n", g.n), ("edges", len(g.edges)))
         verdict = is_r_resiliently_k_colorable(g, args.r, args.k)
         counter = ("subsets_checked", verdict.subsets_checked)
         witness = None if verdict.witness is None else _edge_witness(verdict.witness)
     else:
-        phi = _load_cnf(args.file)
+        phi = parse_cnf(_read_text(args.file))
         sizes = (("num_vars", phi.num_vars), ("clauses", len(phi.clauses)))
         verdict = is_r_resilient(phi, args.r)
         counter = ("restrictions_checked", verdict.restrictions_checked)
@@ -151,7 +143,7 @@ def _cmd_reduce(args) -> int:
     started = time.perf_counter()
     report = sys.stderr
     budget = _budget()
-    phi = _load_cnf(args.file)
+    phi = parse_cnf(_read_text(args.file))
     _emit(report, "command", "reduce")
     _emit(report, "kind", args.kind)
     _emit(report, "input_num_vars", phi.num_vars)

@@ -34,22 +34,27 @@ class DegreeWitness:
 
 
 def _solve_masks(
-    n: int,
     nbrs: Sequence[Sequence[int]],
     k: int,
     fixed: Mapping[int, int] | None = None,
-) -> list[int] | None:
-    """Backtracking core over neighbor lists; returns a color list or None.
+) -> Coloring | None:
+    """Backtracking core over the neighbor lists of vertices 0..len(nbrs)-1;
+    returns a coloring or None.
 
     Each pinned vertex of `fixed` is a frame at the bottom of the search, in
     `fixed`'s order, whose domain is its one color; a pin conflict is an
     ordinary wipe-out.  Pins disable the symmetry-breaking root assignment.
+    Colors at or above max(n, highest pin + 1) are dropped first: an unpinned
+    vertex has fewer than n neighbors, so it never wipes out and takes its
+    least free color, which is below n; no search ever tries a higher color.
     ``why[c][u]`` is the position whose assignment removed color c from u's
     mask.  Only removed colors, ``base[u] & ~avail[u]``, are ever read, so
     undoing a prune restores the mask and leaves ``why`` alone.  A frame's
     conflict set is built only on a wipe-out or when its colors run out.
     """
     fixed = fixed or {}
+    n = len(nbrs)
+    k = min(k, max(n, max(fixed.values(), default=-1) + 1))
     base = [(1 << k) - 1] * n  # per vertex: its colors before any prune
     for v, c in fixed.items():
         base[v] = 1 << c
@@ -58,7 +63,7 @@ def _solve_masks(
         key=lambda v: (-len(nbrs[v]), v),
     )
     if not order:
-        return []
+        return ()
     if not fixed:
         base[order[0]] = 1  # root takes color 0; any coloring can be renamed to match
     color = [-1] * n
@@ -108,7 +113,7 @@ def _solve_masks(
             undo[pos] = (bit, touched)
             pos += 1
             if pos == depth:
-                return color
+                return tuple(color)
             cand[pos] = avail[order[pos]]
             jump[pos] = 0
             continue
@@ -130,8 +135,7 @@ def is_k_colorable(g: Graph, k: int) -> Coloring | None:
     """Return a proper k-coloring as a tuple, or None if none exists."""
     if k < 1:
         raise InputError("k must be >= 1")
-    got = _solve_masks(g.n, g.neighbors, k)
-    return tuple(got) if got is not None else None
+    return _solve_masks(g.neighbors, k)
 
 
 def extend_coloring(g: Graph, k: int, fixed: Mapping[int, int]) -> Coloring | None:
@@ -143,8 +147,7 @@ def extend_coloring(g: Graph, k: int, fixed: Mapping[int, int]) -> Coloring | No
             raise InputError(f"pinned vertex {v} out of range")
         if not 0 <= c < k:
             raise InputError(f"pinned color {c} out of range for k={k}")
-    got = _solve_masks(g.n, g.neighbors, k, fixed)
-    return tuple(got) if got is not None else None
+    return _solve_masks(g.neighbors, k, fixed)
 
 
 def chromatic_number(g: Graph) -> int:
@@ -153,7 +156,7 @@ def chromatic_number(g: Graph) -> int:
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph is undefined")
     for k in range(1, g.n):
-        if _solve_masks(g.n, g.neighbors, k) is not None:
+        if _solve_masks(g.neighbors, k) is not None:
             return k
     return g.n
 

@@ -54,10 +54,10 @@ def blow_up(phi: CnfFormula, s: int, *, clause_budget: int | None = None) -> Cnf
         raise InputError("s must be >= 1")
     budget = DEFAULT_CLAUSE_BUDGET if clause_budget is None else clause_budget
     m = len(phi.clauses)
-    if m**s > budget:
-        raise BudgetExceededError(
-            f"blow-up would emit {m}^{s} = {m**s} clauses, over the budget of {budget}"
-        )
+    # with m >= 2, m**s >= 2**s > budget once s reaches budget's bit length,
+    # so a huge s is refused before the power is computed
+    if (m >= 2 and s >= budget.bit_length()) or m**s > budget:
+        raise BudgetExceededError(f"blow-up would emit {m}^{s} clauses, over the budget of {budget}")
     n = phi.num_vars
     out: list[tuple[int, ...]] = []
     for combo in itertools.product(phi.clauses, repeat=s):

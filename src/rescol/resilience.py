@@ -189,13 +189,15 @@ def _first_uncovered(
     return found, rank * choices**size + vector + 1
 
 
-def _max_resilience(first_failure: Callable[[int], object], limit: int, message: str) -> int | str:
-    """The r-sweep of both ``max_*`` functions: r - 1 for the first r in
-    0..limit where ``first_failure(r)`` is not None; SATURATED when no r
-    fails.  Raises ValueError(message) when r = 0 already fails.  Callers
-    carry one certificate store through every r."""
-    for r in range(limit + 1):
-        if first_failure(r) is not None:
+def _max_resilience(
+    store: _CertificateStore, solve: Callable[[int], int | None], message: str
+) -> int | str:
+    """The r-sweep of both ``max_*`` functions over one certificate store:
+    r - 1 for the first r in 0..store.groups with an uncovered subset,
+    SATURATED when no r has one.  Raises ValueError(message) when r = 0
+    already fails.  Every certificate found at one r serves the later ones."""
+    for r in range(store.groups + 1):
+        if _first_uncovered(store, r, solve)[0] is not None:
             if r == 0:
                 raise ValueError(message)
             return r - 1
@@ -215,24 +217,12 @@ def _coloring_certifier(
             u, v = candidates[i]
             nbrs[u] += (v,)
             nbrs[v] += (u,)
-        colors = _solve_masks(g.n, nbrs, k)
+        colors = _solve_masks(nbrs, k)
         if colors is None:
             return None
         return sum(1 << i for i, (u, v) in enumerate(candidates) if colors[u] != colors[v])
 
     return solve
-
-
-def _first_failure(
-    g: Graph, k: int, candidates: tuple[tuple[int, int], ...], size: int, store: _CertificateStore
-) -> tuple[tuple[tuple[int, int], ...] | None, int]:
-    """Scan the size-subsets of candidates in lexicographic order; return the
-    first one whose addition leaves g not k-colorable (or None) and the
-    number of subsets checked."""
-    failure, checked = _first_uncovered(store, size, _coloring_certifier(g, k, candidates))
-    if failure is None:
-        return None, checked
-    return tuple(candidates[i] for i in _bits(failure)), checked
 
 
 def is_r_resiliently_k_colorable(g: Graph, r: int, k: int) -> GraphResilienceVerdict:
@@ -248,9 +238,10 @@ def is_r_resiliently_k_colorable(g: Graph, r: int, k: int) -> GraphResilienceVer
         raise InputError("k must be >= 1")
     candidates = non_edges(g)
     size = min(r, len(candidates))
-    store = _CertificateStore(len(candidates), 1)
-    witness, checked = _first_failure(g, k, candidates, size, store)
-    return GraphResilienceVerdict(witness is None, witness, size, checked)
+    solve = _coloring_certifier(g, k, candidates)
+    failure, checked = _first_uncovered(_CertificateStore(len(candidates), 1), size, solve)
+    witness = None if failure is None else tuple(candidates[i] for i in _bits(failure))
+    return GraphResilienceVerdict(failure is None, witness, size, checked)
 
 
 def max_graph_resilience(g: Graph, k: int) -> int | str:
@@ -266,9 +257,8 @@ def max_graph_resilience(g: Graph, k: int) -> int | str:
     if g.n <= k:
         return SATURATED
     candidates = non_edges(g)
-    store = _CertificateStore(len(candidates), 1)
     return _max_resilience(
-        lambda r: _first_failure(g, k, candidates, r, store)[0],
-        len(candidates),
+        _CertificateStore(len(candidates), 1),
+        _coloring_certifier(g, k, candidates),
         "graph is not even 0-resilient (not k-colorable)",
     )

@@ -377,20 +377,6 @@ def _model_certifier(solver: _Solver) -> Callable[[int], int | None]:
     return solve
 
 
-def _first_failure(
-    solver: _Solver, store: _CertificateStore, size: int
-) -> tuple[Restriction | None, int]:
-    """Scan the size-restrictions in canonical order; return the first one
-    that kills the formula (or None) and the number checked.
-
-    Each variable is a group of two literals, False before True, so the
-    shared scan can answer a restriction from kept models; only a cache miss
-    or the witness is decoded back to (variable, value) pairs.
-    """
-    failure, checked = _first_uncovered(store, size, _model_certifier(solver))
-    return (None if failure is None else Restriction(tuple(_fixes(failure)))), checked
-
-
 def is_r_resilient(phi: CnfFormula, r: int) -> SatResilienceVerdict:
     """Check every restriction of exactly min(r, num_vars) variables.
 
@@ -411,8 +397,10 @@ def is_r_resilient(phi: CnfFormula, r: int) -> SatResilienceVerdict:
     if r < 0:
         raise InputError("r must be >= 0")
     size = min(r, phi.num_vars)
-    witness, checked = _first_failure(_Solver(phi), _CertificateStore(phi.num_vars, 2), size)
-    return SatResilienceVerdict(witness is None, witness, size, checked)
+    solve = _model_certifier(_Solver(phi))
+    failure, checked = _first_uncovered(_CertificateStore(phi.num_vars, 2), size, solve)
+    witness = None if failure is None else Restriction(tuple(_fixes(failure)))
+    return SatResilienceVerdict(failure is None, witness, size, checked)
 
 
 def max_sat_resilience(phi: CnfFormula) -> int | str:
@@ -423,10 +411,8 @@ def max_sat_resilience(phi: CnfFormula) -> int | str:
     input, which is not even 0-resilient.  One solver and one store of every
     model found serve the whole sweep over r, from r = 0.
     """
-    solver = _Solver(phi)
-    store = _CertificateStore(phi.num_vars, 2)
     return _max_resilience(
-        lambda r: _first_failure(solver, store, r)[0],
-        phi.num_vars,
+        _CertificateStore(phi.num_vars, 2),
+        _model_certifier(_Solver(phi)),
         "formula is not even 0-resilient",
     )

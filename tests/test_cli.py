@@ -273,6 +273,21 @@ def test_reduce_budget_env_exceeded(tmp_path, capsys, monkeypatch):
     assert "over the budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "clauses, argv",
+    [
+        (((1,), (2,), (3,)), ["--kind", "blowup", "--s", "10000"]),
+        (((1, 2, 3), (-1, -2, -3)), ["--kind", "chain", "--r", "20000"]),
+    ],
+)
+def test_budget_exceeded_exits_three(tmp_path, capsys, clauses, argv):
+    rc = main(["reduce", write_cnf(tmp_path, CnfFormula.make(3, clauses))] + argv)
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "over the budget" in captured.err
+    assert captured.out == ""
+
+
 def test_reduce_budget_env_must_be_integer(tmp_path, capsys, monkeypatch):
     path = write_cnf(tmp_path, CnfFormula.make(1, ((1,),)))
     for value, message in (("lots", "must be an integer"), ("-1", "must be >= 0")):

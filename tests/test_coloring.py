@@ -1,6 +1,7 @@
 """Exact coloring solver, chromatic number, greedy bounded-degree coloring."""
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -209,6 +210,20 @@ def test_root_symmetry_break():
 def test_deterministic_output():
     g = classic("grotzsch")
     assert is_k_colorable(g, 4) == is_k_colorable(g, 4)
+
+
+def test_color_count_capped_at_vertex_count():
+    """Colors past n are never tried, so a huge k costs no more than k = n."""
+    path = Graph.from_edges(500, [(i, i + 1) for i in range(499)])
+    want = is_k_colorable(path, 500)
+    tracemalloc.start()
+    try:
+        got = is_k_colorable(path, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 5_000_000
 
 
 def test_extend_coloring_respects_clamps():

@@ -73,6 +73,9 @@ def test_blow_up_budget():
     # the check happens before any expansion work
     with pytest.raises(BudgetExceededError, match="over the budget"):
         blow_up(phi, 40)
+    # a huge s is refused before m**s is computed or printed
+    with pytest.raises(BudgetExceededError, match=r"3\^10000 clauses"):
+        blow_up(CnfFormula.make(3, [(1,), (2,), (3,)]), 10_000)
 
 
 def test_blow_up_equisatisfiable():

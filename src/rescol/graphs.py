@@ -1,9 +1,8 @@
 """Simple undirected graphs on vertices 0..n-1, classic instances, and DIMACS I/O.
 
-Graphs are immutable.  Each graph caches two views of its edges: one
-integer bitmask per vertex, for O(1) edge queries and the resilience scans'
-non-edge lists, and an ascending tuple of neighbors per vertex, which the
-coloring engine walks so a step costs the vertex's degree, not n.
+Graphs are immutable.  The set of (low, high) edge pairs answers edge
+queries; each graph also caches an ascending tuple of neighbors per vertex,
+which the coloring engine walks so a step costs the vertex's degree, not n.
 """
 from __future__ import annotations
 
@@ -49,15 +48,6 @@ class Graph:
         return cls(n, frozenset(normalize_edge(u, v) for u, v in pairs))
 
     @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """Bitmask of neighbors per vertex; bit v of adjacency[u] means edge (u, v)."""
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return tuple(adj)
-
-    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Ascending tuple of neighbors per vertex."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
@@ -67,13 +57,16 @@ class Graph:
         return tuple(tuple(sorted(vs)) for vs in nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u] >> v & 1) if u != v else False
+        return (u, v) in self.edges or (v, u) in self.edges
 
     def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
+        """Number of neighbors of v; InputError unless 0 <= v < n."""
+        if not 0 <= v < self.n:
+            raise InputError(f"vertex {v} out of range for n={self.n}")
+        return len(self.neighbors[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self.adjacency)
+        return tuple(map(len, self.neighbors))
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
@@ -271,8 +264,4 @@ def apex_extension(g: Graph) -> Graph:
 
 def non_edges(g: Graph) -> tuple[tuple[int, int], ...]:
     """All unordered vertex pairs that are not edges, in sorted order."""
-    return tuple(
-        (u, v)
-        for u, v in itertools.combinations(range(g.n), 2)
-        if not g.adjacency[u] >> v & 1
-    )
+    return tuple(p for p in itertools.combinations(range(g.n), 2) if p not in g.edges)

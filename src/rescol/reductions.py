@@ -343,19 +343,14 @@ def six_cnf_to_graph(phi: CnfFormula, *, vertex_budget: int | None = None) -> Ga
     )
 
 
-def three_sat_to_coloring(
-    phi3: CnfFormula,
-    *,
-    clause_budget: int | None = None,
-    vertex_budget: int | None = None,
-) -> GadgetGraph:
+def three_sat_to_coloring(phi3: CnfFormula) -> GadgetGraph:
     """Encode a 3-CNF formula as 3-colorability with one added edge to spare:
     when phi3 is satisfiable the output stays 3-colorable after any single
-    edge addition.  Pipeline: blow up with s=2 (width <= 6), then encode."""
+    edge addition.  Pipeline: blow up with s=2 (width <= 6), then encode,
+    under DEFAULT_CLAUSE_BUDGET and DEFAULT_VERTEX_BUDGET."""
     if phi3.width > 3:
         raise InputError("input must have width <= 3")
-    doubled = blow_up(phi3, 2, clause_budget=clause_budget)
-    return six_cnf_to_graph(doubled, vertex_budget=vertex_budget)
+    return six_cnf_to_graph(blow_up(phi3, 2))
 
 
 def decode_coloring(gg: GadgetGraph, colors: Iterable[int]) -> dict[int, bool]:

@@ -9,6 +9,7 @@ from rescol.coloring import chromatic_number
 from rescol.graphs import (
     CLASSIC_NAMES,
     Graph,
+    InputError,
     ParseError,
     add_edges,
     apex_extension,
@@ -49,16 +50,18 @@ def test_from_edges_normalizes_and_dedupes():
     assert g.edges == frozenset({(0, 2), (1, 2)})
 
 
-def test_adjacency_bitmasks_match_edges():
+def test_has_edge_and_neighbors_match_edges():
     rng = random.Random(1)
     for _ in range(50):
         g = random_graph(rng)
         for u in range(g.n):
             for v in range(g.n):
                 expected = (min(u, v), max(u, v)) in g.edges
-                assert bool(g.adjacency[u] >> v & 1) == expected
                 assert g.has_edge(u, v) == expected
             assert g.neighbors[u] == tuple(v for v in range(g.n) if g.has_edge(u, v))
+    g = classic("petersen")
+    for u, v in [(-1, 0), (0, -1), (10, 1), (1, 10), (-1, -1), (10, 10), (0, 0)]:
+        assert g.has_edge(u, v) is False
 
 
 def test_degree_helpers():
@@ -66,6 +69,9 @@ def test_degree_helpers():
     assert g.degrees() == (3,) * 10
     assert g.max_degree() == 3
     assert g.degree(0) == 3
+    for v in (-1, 10):
+        with pytest.raises(InputError, match="out of range"):
+            g.degree(v)
 
 
 def test_parse_triangle():
@@ -146,9 +152,8 @@ def test_chvatal_shape_and_girth_four():
     assert (g.n, len(g.edges)) == (12, 24)
     assert set(g.degrees()) == {4}
     # girth 4: triangle-free but contains a 4-cycle
-    adj = g.adjacency
     for u, v in g.edges:
-        assert adj[u] & adj[v] == 0
+        assert set(g.neighbors[u]).isdisjoint(g.neighbors[v])
     has_square = any(
         g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d) and g.has_edge(d, a)
         for a, b, c, d in itertools.permutations(range(g.n), 4)
@@ -161,8 +166,8 @@ def test_clebsch_shape():
     g = classic("clebsch")
     assert (g.n, len(g.edges)) == (16, 40)
     assert set(g.degrees()) == {5}
-    adj = g.adjacency
-    assert all(adj[u] & adj[v] == 0 for u, v in g.edges)  # triangle-free
+    # triangle-free
+    assert all(set(g.neighbors[u]).isdisjoint(g.neighbors[v]) for u, v in g.edges)
     assert chromatic_number(g) == 4
 
 

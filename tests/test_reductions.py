@@ -380,6 +380,13 @@ def test_three_sat_rejects_wide_input():
         three_sat_to_coloring(CnfFormula.make(4, [(1, 2, 3, 4)]))
 
 
+def test_three_sat_applies_default_vertex_budget():
+    m = 75
+    phi = CnfFormula.make(m, [(i + 1, -((i + 1) % m + 1), (i + 2) % m + 1) for i in range(m)])
+    with pytest.raises(BudgetExceededError, match="102751 vertices"):
+        three_sat_to_coloring(phi)
+
+
 # ------------------------------------------------------------ decode_coloring
 
 

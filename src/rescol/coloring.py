@@ -154,7 +154,7 @@ def chromatic_number(g: Graph) -> int:
     """Smallest k admitting a proper k-coloring, by linear search from 1;
     n when no k < n works, since every graph on n vertices is n-colorable."""
     if g.n == 0:
-        raise ValueError("chromatic number of the empty graph is undefined")
+        raise InputError("chromatic number of the empty graph is undefined")
     for k in range(1, g.n):
         if _solve_masks(g.neighbors, k) is not None:
             return k

@@ -58,6 +58,11 @@ def blow_up(phi: CnfFormula, s: int, *, clause_budget: int | None = None) -> Cnf
     # so a huge s is refused before the power is computed
     if (m >= 2 and s >= budget.bit_length()) or m**s > budget:
         raise BudgetExceededError(f"blow-up would emit {m}^{s} clauses, over the budget of {budget}")
+    # one clause passes the count check for any s but grows s times wider
+    if m == 1 and s * phi.width > budget:
+        raise BudgetExceededError(
+            f"blow-up would emit one clause of {s * phi.width} literals, over the budget of {budget}"
+        )
     n = phi.num_vars
     out: list[tuple[int, ...]] = []
     for combo in itertools.product(phi.clauses, repeat=s):
@@ -206,14 +211,20 @@ class _Builder:
     def edge(self, u: int, v: int) -> None:
         self.edges.add(normalize_edge(u, v))
 
+    def ports(self, base: int, count: int) -> tuple[int, ...]:
+        """`count` new vertices, each joined to the base."""
+        ports = tuple(self.vertex() for _ in range(count))
+        for p in ports:
+            self.edge(base, p)
+        return ports
+
     def graph(self) -> Graph:
         return Graph(self.n, frozenset(self.edges))
 
 
-def _wire_negation(
-    b: _Builder, base: int, pos: tuple[int, int], neg: tuple[int, int]
-) -> tuple[int, ...]:
-    """Force exactly one of the two literal pairs monochromatic.
+def _wire_negation(b: _Builder, base: int, ports: tuple[int, ...]) -> tuple[int, ...]:
+    """Force exactly one of the literal pairs (p1, p2) and (q1, q2) of
+    ports = (p1, p2, q1, q2) monochromatic.
 
     inv_* vertices hold the opposite color of their pair's second port.  Each
     "head" vertex is adjacent to two {white, black} vertices, so it is forced
@@ -226,8 +237,7 @@ def _wire_negation(
 
     The edge h1-h2 forbids both polarities false, h3-h4 forbids both true.
     """
-    p1, p2 = pos
-    q1, q2 = neg
+    p1, p2, q1, q2 = ports
     inv_p = b.vertex()
     inv_q = b.vertex()
     h1 = b.vertex()
@@ -251,8 +261,9 @@ def _wire_negation(
     return (inv_p, inv_q, h1, h2, h3, h4)
 
 
-def _wire_clause(b: _Builder, slots: list[tuple[int, int]]) -> tuple[int, ...]:
-    """3-color-extendable exactly when some slot's ports share a color.
+def _wire_clause(b: _Builder, base: int, ports: tuple[int, ...]) -> tuple[int, ...]:
+    """3-color-extendable exactly when some slot's ports share a color; slot
+    i of the six is ports[2i], ports[2i + 1].
 
     Per slot a head vertex is forced gray when the slot is false.  Three
     combiner cells OR pairs of heads: the cell output is forced gray exactly
@@ -262,7 +273,7 @@ def _wire_clause(b: _Builder, slots: list[tuple[int, int]]) -> tuple[int, ...]:
     triangle corner to take gray.
     """
     heads = []
-    for u, v in slots:
+    for u, v in zip(ports[::2], ports[1::2]):
         w = b.vertex()
         b.edge(u, w)
         b.edge(v, w)
@@ -319,21 +330,15 @@ def six_cnf_to_graph(phi: CnfFormula, *, vertex_budget: int | None = None) -> Ga
     ports: dict[int, tuple[int, int]] = {}
     records: list[GadgetRecord] = []
     for v in variables:
-        p1, p2, n1, n2 = (b.vertex() for _ in range(4))
-        for port in (p1, p2, n1, n2):
-            b.edge(base, port)
-        ports[v] = (p1, p2)
-        ports[-v] = (n1, n2)
-        records.append(GadgetRecord("literal", (p1, p2), (), v))
-        records.append(GadgetRecord("literal", (n1, n2), (), -v))
-        internals = _wire_negation(b, base, (p1, p2), (n1, n2))
-        records.append(GadgetRecord("negation", internals, (p1, p2, n1, n2), v))
+        quad = b.ports(base, 4)
+        ports[v], ports[-v] = quad[:2], quad[2:]
+        records.append(GadgetRecord("literal", ports[v], (), v))
+        records.append(GadgetRecord("literal", ports[-v], (), -v))
+        records.append(GadgetRecord("negation", _wire_negation(b, base, quad), quad, v))
     for j, cl in enumerate(phi.clauses):
         slots = list(cl) + [cl[-1]] * (6 - len(cl))
-        slot_ports = [ports[lit] for lit in slots]
-        internals = _wire_clause(b, slot_ports)
-        flat_ports = tuple(x for pair in slot_ports for x in pair)
-        records.append(GadgetRecord("clause", internals, flat_ports, j))
+        flat = tuple(x for lit in slots for x in ports[lit])
+        records.append(GadgetRecord("clause", _wire_clause(b, base, flat), flat, j))
     return GadgetGraph(
         graph=b.graph(),
         base=base,
@@ -420,28 +425,14 @@ class ContractReport:
 
 
 def _standalone(num_ports: int, wire) -> tuple[Graph, int, tuple[int, ...], tuple[int, ...]]:
-    """A gadget on its own: the base, `num_ports` ports joined to the base,
-    and whatever `wire(builder, base, ports)` adds; returns the graph, the
-    base, the ports and the internal vertices `wire` returns."""
+    """A gadget on its own: the base, `num_ports` ports joined to the base and
+    whatever `wire(builder, base, ports)` adds, if `wire` is not None; returns
+    the graph, the base, the ports and the internal vertices `wire` returns."""
     b = _Builder()
     base = b.vertex()
-    ports = tuple(b.vertex() for _ in range(num_ports))
-    for p in ports:
-        b.edge(base, p)
-    internals = wire(b, base, ports)
+    ports = b.ports(base, num_ports)
+    internals = () if wire is None else wire(b, base, ports)
     return b.graph(), base, ports, internals
-
-
-def _standalone_literal() -> tuple[Graph, int, tuple[int, ...]]:
-    return _standalone(2, lambda b, base, ports: ())[:3]
-
-
-def _standalone_negation() -> tuple[Graph, int, tuple[int, ...], tuple[int, ...]]:
-    return _standalone(4, lambda b, base, ports: _wire_negation(b, base, ports[:2], ports[2:]))
-
-
-def _standalone_clause() -> tuple[Graph, int, tuple[int, ...], tuple[int, ...]]:
-    return _standalone(12, lambda b, _, ports: _wire_clause(b, list(zip(ports[::2], ports[1::2]))))
 
 
 def _survival_checks(name: str, graph: Graph, base: int) -> list[ContractCheck]:
@@ -455,18 +446,21 @@ def _survival_checks(name: str, graph: Graph, base: int) -> list[ContractCheck]:
     return checks
 
 
-# Per gadget with a port law: the builder, the law's contract name and the
-# port patterns (0 white, 1 black, base gray) that must extend.
+# Per gadget with a port law: its name, port count and wiring, the law's
+# contract name, and the law accepting exactly the port patterns (0 white,
+# 1 black, base gray) that must extend.
 _PORT_LAWS = (
     (
         "negation",
-        _standalone_negation,
+        4,
+        _wire_negation,
         "exactly-one-polarity-true",
         lambda p: (p[0] == p[1]) != (p[2] == p[3]),
     ),
     (
         "clause",
-        _standalone_clause,
+        12,
+        _wire_clause,
         "at-least-one-slot-true",
         lambda p: any(p[2 * i] == p[2 * i + 1] for i in range(6)),
     ),
@@ -483,7 +477,7 @@ def verify_gadget_contracts() -> ContractReport:
     the gadget 3-colorable with the base gray; (5) all but at most one
     internal vertex can take at least two different colors.
     """
-    graph, base, (p1, p2) = _standalone_literal()
+    graph, base, (p1, p2), _ = _standalone(2, None)
     forced = all(
         (extend_coloring(graph, 3, {base: GRAY, p1: c1, p2: c2}) is not None)
         == (c1 != GRAY and c2 != GRAY)
@@ -493,8 +487,8 @@ def verify_gadget_contracts() -> ContractReport:
     checks = [ContractCheck("literal", "ports-avoid-base-color", "all 9 port colorings", forced)]
     checks += _survival_checks("literal", graph, base)
 
-    for name, build, contract, accepts in _PORT_LAWS:
-        graph, base, ports, internals = build()
+    for name, num_ports, wire, contract, accepts in _PORT_LAWS:
+        graph, base, ports, internals = _standalone(num_ports, wire)
         # every white/black port pattern extends exactly when the law accepts it
         for pattern in itertools.product((0, 1), repeat=len(ports)):
             clamp = {base: GRAY}

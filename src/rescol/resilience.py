@@ -194,12 +194,12 @@ def _max_resilience(
 ) -> int | str:
     """The r-sweep of both ``max_*`` functions over one certificate store:
     r - 1 for the first r in 0..store.groups with an uncovered subset,
-    SATURATED when no r has one.  Raises ValueError(message) when r = 0
+    SATURATED when no r has one.  Raises InputError(message) when r = 0
     already fails.  Every certificate found at one r serves the later ones."""
     for r in range(store.groups + 1):
         if _first_uncovered(store, r, solve)[0] is not None:
             if r == 0:
-                raise ValueError(message)
+                raise InputError(message)
             return r - 1
     return SATURATED
 

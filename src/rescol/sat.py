@@ -406,11 +406,13 @@ def is_r_resilient(phi: CnfFormula, r: int) -> SatResilienceVerdict:
 def max_sat_resilience(phi: CnfFormula) -> int | str:
     """Largest r for which phi is r-resilient.
 
-    Returns SATURATED when phi survives fixing all num_vars variables (only
-    possible when every clause is a tautology); raises for unsatisfiable
-    input, which is not even 0-resilient.  One solver and one store of every
-    model found serve the whole sweep over r, from r = 0.
+    Returns SATURATED, without a search, exactly when every clause is a
+    tautology, that is when phi survives fixing all num_vars variables; raises
+    InputError for unsatisfiable input, which is not even 0-resilient.  One
+    solver and one store of every model found serve the sweep from r = 0.
     """
+    if all(_is_tautology(cl) for cl in phi.clauses):
+        return SATURATED
     return _max_resilience(
         _CertificateStore(phi.num_vars, 2),
         _model_certifier(_Solver(phi)),

@@ -15,6 +15,7 @@ import pytest
 import rescol
 from rescol.cli import main
 from rescol.coloring import (
+    chromatic_number,
     extend_coloring,
     greedy_color_bounded_degree,
     is_k_colorable,
@@ -43,7 +44,14 @@ from rescol.reductions import (
     three_sat_to_coloring,
 )
 from rescol.resilience import is_r_resiliently_k_colorable, max_graph_resilience
-from rescol.sat import CnfFormula, Restriction, is_r_resilient, parse_cnf, serialize_cnf
+from rescol.sat import (
+    CnfFormula,
+    Restriction,
+    is_r_resilient,
+    max_sat_resilience,
+    parse_cnf,
+    serialize_cnf,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -518,6 +526,9 @@ def test_input_errors_are_input_error():
         lambda: is_r_resiliently_k_colorable(g, -1, 3),
         lambda: is_r_resiliently_k_colorable(g, 1, 0),
         lambda: max_graph_resilience(g, 0),
+        lambda: max_graph_resilience(complete_graph(4), 3),
+        lambda: max_sat_resilience(CnfFormula.make(1, [(1,), (-1,)])),
+        lambda: chromatic_number(Graph(0, frozenset())),
         lambda: is_r_resilient(phi, -1),
         lambda: blow_up(phi, 0),
         lambda: shrink_down(CnfFormula.make(1, [(1,)])),

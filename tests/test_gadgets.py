@@ -4,9 +4,9 @@ import itertools
 from rescol.coloring import extend_coloring
 from rescol.reductions import (
     GRAY,
-    _standalone_clause,
-    _standalone_literal,
-    _standalone_negation,
+    _standalone,
+    _wire_clause,
+    _wire_negation,
     verify_gadget_contracts,
 )
 
@@ -62,7 +62,7 @@ def test_contract_check_sequence_is_pinned():
 
 
 def test_literal_ports_never_gray():
-    graph, base, (p1, p2) = _standalone_literal()
+    graph, base, (p1, p2), _ = _standalone(2, None)
     for cp in range(3):
         for cq in range(3):
             colors = extend_coloring(graph, 3, {base: GRAY, p1: cp, p2: cq})
@@ -71,7 +71,7 @@ def test_literal_ports_never_gray():
 
 
 def test_negation_accepts_exactly_one_true():
-    graph, base, (p1, p2, n1, n2), _ = _standalone_negation()
+    graph, base, (p1, p2, n1, n2), _ = _standalone(4, _wire_negation)
     for pat in itertools.product((WHITE, BLACK), repeat=4):
         clamp = {base: GRAY, p1: pat[0], p2: pat[1], n1: pat[2], n2: pat[3]}
         extendable = extend_coloring(graph, 3, clamp) is not None
@@ -81,13 +81,13 @@ def test_negation_accepts_exactly_one_true():
 
 
 def test_negation_rejects_both_true():
-    graph, base, (p1, p2, n1, n2), _ = _standalone_negation()
+    graph, base, (p1, p2, n1, n2), _ = _standalone(4, _wire_negation)
     clamp = {base: GRAY, p1: WHITE, p2: WHITE, n1: BLACK, n2: BLACK}
     assert extend_coloring(graph, 3, clamp) is None
 
 
 def test_clause_accepts_iff_some_slot_true():
-    graph, base, ports, _ = _standalone_clause()
+    graph, base, ports, _ = _standalone(12, _wire_clause)
     for pat in itertools.product((WHITE, BLACK), repeat=12):
         clamp = {base: GRAY} | dict(zip(ports, pat))
         extendable = extend_coloring(graph, 3, clamp) is not None
@@ -96,7 +96,7 @@ def test_clause_accepts_iff_some_slot_true():
 
 
 def test_clause_rejects_all_false():
-    graph, base, ports, _ = _standalone_clause()
+    graph, base, ports, _ = _standalone(12, _wire_clause)
     pat = (WHITE, BLACK) * 6
     clamp = {base: GRAY} | dict(zip(ports, pat))
     assert extend_coloring(graph, 3, clamp) is None

@@ -1,6 +1,7 @@
 """Blow-up, shrink-down, the hardness chain, and the 6-CNF to 3-coloring encoder."""
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -76,6 +77,12 @@ def test_blow_up_budget():
     # a huge s is refused before m**s is computed or printed
     with pytest.raises(BudgetExceededError, match=r"3\^10000 clauses"):
         blow_up(CnfFormula.make(3, [(1,), (2,), (3,)]), 10_000)
+    # one clause passes any clause count; its literal count is budgeted too
+    one = CnfFormula.make(3, [(1, 2, 3)])
+    with pytest.raises(BudgetExceededError, match="102 literals"):
+        blow_up(one, 34, clause_budget=100)
+    out = blow_up(one, 33, clause_budget=100)
+    assert len(out.clauses) == 1 and len(out.clauses[0]) == 99
 
 
 def test_blow_up_equisatisfiable():
@@ -260,6 +267,28 @@ def test_hardness_chain_resilience_small():
         assert is_r_resilient(out, r).resilient
 
 
+def test_hardness_chain_lemma_exact():
+    """A satisfiable input gives an output that survives every r fixings,
+    and no more: fixing one output clause's r + 1 literals false kills it."""
+    cases = [
+        (2, CnfFormula.make(3, [(1, 2, 3)]), 480),
+        (2, CnfFormula.make(3, [(1, 2)]), 9112),
+        (2, CnfFormula.make(3, [(1, 2, 3), (-1, -2, -3)]), 8320),
+        (3, CnfFormula.make(3, [(1, 2, 3)]), 7752),
+    ]
+    for r, phi, checked in cases:
+        out = hardness_chain(r, phi)
+        verdict = is_r_resilient(out, r)
+        assert verdict.resilient
+        assert verdict.restrictions_checked == math.comb(out.num_vars, r) * 2**r == checked
+        control = is_r_resilient(out, r + 1)
+        assert not control.resilient
+        # the witness falsifies the first output clause, (x1 | x2 | x13) for r = 2
+        # on the first input
+        first = sorted(out.clauses[0], key=abs)
+        assert control.witness.fixes == tuple((abs(lit), lit < 0) for lit in first)
+
+
 def test_hardness_chain_budget():
     phi = CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)])
     with pytest.raises(BudgetExceededError):
@@ -290,6 +319,20 @@ def test_gadget_graph_counts_only_occurring_variables():
     assert gg.graph.n == 1 + 10 * 1 + 18 * 1
     assert gg.source_num_vars == 5
     assert set(gg.literal_ports) == {2, -2}
+
+
+def test_vertex_budget_matches_gadget_sizes():
+    """The vertex budget's per-variable and per-clause counts are what the
+    wiring builds."""
+    negation_internals = reductions._standalone(4, reductions._wire_negation)[3]
+    clause_internals = reductions._standalone(12, reductions._wire_clause)[3]
+    assert reductions._VERTICES_PER_VARIABLE == 4 + len(negation_internals)
+    assert reductions._VERTICES_PER_CLAUSE == len(clause_internals)
+    rng = random.Random(12)
+    for _ in range(100):
+        phi = random_cnf(rng, max_vars=7, max_clauses=5, max_width=6)
+        gg = six_cnf_to_graph(phi)
+        assert gg.graph.n == 1 + 10 * len(phi.variables()) + 18 * len(phi.clauses)
 
 
 def test_ports_adjacent_to_base():

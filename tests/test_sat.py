@@ -446,9 +446,22 @@ def test_max_sat_resilience_errors_on_unsat():
         max_sat_resilience(CnfFormula.make(1, [(1,), (-1,)]))
 
 
-def test_max_sat_resilience_saturated():
+def test_max_sat_resilience_saturated(monkeypatch):
     assert max_sat_resilience(CnfFormula.make(1, [(1, -1)])) == SATURATED
     assert max_sat_resilience(CnfFormula.make(2, [])) == SATURATED
+    # answered without a search: a sweep to r = num_vars would cost 2^n solves
+    calls = 0
+    solve = sat._Solver.solve
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return solve(self, *args)
+
+    monkeypatch.setattr(sat._Solver, "solve", counting)
+    assert max_sat_resilience(CnfFormula(12, ())) == SATURATED
+    assert max_sat_resilience(CnfFormula.make(12, [(1, -1)])) == SATURATED
+    assert calls == 0
 
 
 def test_clause_bound():

@@ -160,8 +160,6 @@ def hardness_chain(r: int, phi3: CnfFormula, *, clause_budget: int | None = None
     budget = DEFAULT_CLAUSE_BUDGET if clause_budget is None else clause_budget
     s = r + 1
     psi = blow_up(_exact_three_cnf(phi3), s, clause_budget=budget)
-    if not psi.clauses:
-        return psi
     psi = _pad_to_width(psi, _CHAIN_START_WIDTH.get(r, 4 * s - 6))
     while psi.width > s:
         if 2 * len(psi.clauses) > budget:
@@ -316,7 +314,7 @@ def six_cnf_to_graph(phi: CnfFormula, *, vertex_budget: int | None = None) -> Ga
     if phi.width > 6:
         raise InputError("clause width exceeds 6")
     if phi.has_empty_clause:
-        raise ValueError("formula contains an empty clause")
+        raise InputError("formula contains an empty clause")
     budget = DEFAULT_VERTEX_BUDGET if vertex_budget is None else vertex_budget
     variables = phi.variables()
     total = 1 + _VERTICES_PER_VARIABLE * len(variables) + _VERTICES_PER_CLAUSE * len(phi.clauses)

@@ -107,8 +107,6 @@ def _first_uncovered(
     groups, choices = store.groups, store.choices
     covers, complements, dead, tail = store.covers, store.complements, store.dead, store.tail
     total = comb(groups, size) * choices**size
-    if total == 0:
-        return None, 0
     root = [0, (1 << len(complements)) - 1]
     if size == 0:
         # the empty subset is uncovered only while the store is empty

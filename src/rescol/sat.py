@@ -185,11 +185,15 @@ class _Solver:
     """Exact DPLL over one formula, reused across calls under assumptions.
 
     The constructor builds the watch lists and assigns the unit clauses once
-    (the level-0 trail).  Each ``solve`` pushes its assumed literals, branches
-    on the lowest unassigned variable, false before true, with unit
-    propagation run to fixpoint between decisions, and always undoes back to
-    the level-0 trail before it returns.  ``trail[head:]`` holds the literals
-    not yet propagated.  A clause of two or more literals is a list watched
+    (the level-0 trail).  Each ``solve`` pushes its assumed literals, decides
+    the lowest unassigned variable False, propagates units to fixpoint after
+    each decision, and undoes back to the level-0 trail before it returns.
+    ``marks`` holds the trail length before each open decision (MiniSat's
+    ``trail_lim``).  A conflict pops the last mark, undoes to it and asserts
+    the variable True as an implied literal of the level below, so the first
+    model found is the least one extending the assumptions (variable 1 most
+    significant, False before True).  ``trail[head:]`` holds the literals not
+    yet propagated.  A clause of two or more literals is a list watched
     through its slots 0 and 1: propagation visits only the clauses watching a
     newly falsified literal and swaps a replacement watch into slot 1.
     Watches need no repair on undo.
@@ -286,34 +290,29 @@ class _Solver:
                 return None
             value = self.value
             n = self.num_vars
-            # (variable, trail length at decision, already flipped)
-            decisions: list[tuple[int, int, bool]] = []
-            cursor = 1
+            marks: list[int] = []
+            var = 1
             while True:
-                while cursor <= n and value[cursor] is not None:
-                    cursor += 1
-                if cursor > n:
+                while var <= n and value[var] is not None:
+                    var += 1
+                if var > n:
                     return value[1 : n + 1]
-                var = cursor
-                decisions.append((var, len(self.trail), False))
+                marks.append(len(self.trail))
                 ok = self._assign(-var) and self._propagate()
                 while not ok:
-                    if not decisions:
+                    if not marks:
                         return None
-                    var, mark, flipped = decisions.pop()
+                    mark = marks.pop()
+                    var = -self.trail[mark]
                     self._undo(mark)
-                    if flipped:
-                        continue
-                    decisions.append((var, mark, True))
-                    cursor = var + 1
                     ok = self._assign(var) and self._propagate()
         finally:
             self._undo(self.base)
 
 
 def is_satisfiable(phi: CnfFormula) -> Assignment | None:
-    """Return a total satisfying assignment (unassigned variables default to
-    False), or None when the formula is unsatisfiable.
+    """Return the least model, variable 1 most significant and False before
+    True, or None when the formula is unsatisfiable.
 
     Runs the same incremental solver as the resilience scans, with no
     assumptions.
@@ -337,7 +336,7 @@ def restrict(phi: CnfFormula, rho: Restriction) -> CnfFormula:
     values = rho.as_dict()
     for var in values:
         if var > phi.num_vars:
-            raise ValueError(f"restricted variable {var} out of range for num_vars={phi.num_vars}")
+            raise InputError(f"restricted variable {var} out of range for num_vars={phi.num_vars}")
     out: list[Clause] = []
     for cl in phi.clauses:
         if _is_tautology(cl):

@@ -50,6 +50,7 @@ from rescol.sat import (
     is_r_resilient,
     max_sat_resilience,
     parse_cnf,
+    restrict,
     serialize_cnf,
 )
 
@@ -536,6 +537,8 @@ def test_input_errors_are_input_error():
         lambda: hardness_chain(2, wide),
         lambda: three_sat_to_coloring(wide),
         lambda: six_cnf_to_graph(wide),
+        lambda: six_cnf_to_graph(CnfFormula(1, ((),))),
+        lambda: restrict(phi, Restriction(((3, True),))),
         lambda: classic("moebius"),
         lambda: classic("petersen", 3),
         lambda: classic("complete"),

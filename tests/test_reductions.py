@@ -205,7 +205,7 @@ def test_hardness_chain_normalizes_narrow_input():
 def test_hardness_chain_drops_tautologies():
     phi = CnfFormula.make(2, [(1, -1, 2)])
     out = hardness_chain(3, phi)
-    assert out.clauses == ()
+    assert out == CnfFormula(8, ())
 
 
 def test_exact_three_cnf_frozen_output():
@@ -259,14 +259,6 @@ def test_hardness_chain_clauses_have_distinct_variables():
             assert len({abs(lit) for lit in cl}) == len(cl) == r + 1
 
 
-def test_hardness_chain_resilience_small():
-    phi = CnfFormula.make(3, [(1, 2, 3)])
-    for r in (2, 3):
-        out = hardness_chain(r, phi)
-        assert out.width == r + 1
-        assert is_r_resilient(out, r).resilient
-
-
 def test_hardness_chain_lemma_exact():
     """A satisfiable input gives an output that survives every r fixings,
     and no more: fixing one output clause's r + 1 literals false kills it."""
@@ -278,6 +270,7 @@ def test_hardness_chain_lemma_exact():
     ]
     for r, phi, checked in cases:
         out = hardness_chain(r, phi)
+        assert out.width == r + 1
         verdict = is_r_resilient(out, r)
         assert verdict.resilient
         assert verdict.restrictions_checked == math.comb(out.num_vars, r) * 2**r == checked

@@ -441,6 +441,38 @@ def test_solver_reuse_matches_oracle():
     assert min(seen.values()) > 0, seen
 
 
+def test_solver_returns_least_model():
+    """Each answer is the least model extending the assumptions, variable 1
+    most significant and False before True, found here by enumerating every
+    assignment in that order."""
+    rng = random.Random(31)
+    seen = {"unit": 0, "duplicate": 0, "tautology": 0, "repeated": 0, "contradictory": 0}
+    for _ in range(300):
+        phi = random_cnf(rng, max_vars=9, max_clauses=12, max_width=4)
+        seen["unit"] += any(len(cl) == 1 for cl in phi.clauses)
+        seen["duplicate"] += any(len(set(cl)) < len(cl) for cl in phi.clauses)
+        seen["tautology"] += any(-lit in cl for cl in phi.clauses for lit in cl)
+        models = [
+            list(values)
+            for values in itertools.product((False, True), repeat=phi.num_vars)
+            if all(any(values[abs(lit) - 1] == (lit > 0) for lit in cl) for cl in phi.clauses)
+        ]
+        least = models[0] if models else None
+        assert is_satisfiable(phi) == (None if least is None else dict(enumerate(least, start=1)))
+        solver = sat._Solver(phi)
+        for _ in range(6):
+            n = rng.randint(0, 4)
+            assumptions = [rng.choice((1, -1)) * rng.randint(1, phi.num_vars) for _ in range(n)]
+            seen["repeated"] += len(set(assumptions)) < len(assumptions)
+            seen["contradictory"] += any(-lit in assumptions for lit in assumptions)
+            expected = next(
+                (m for m in models if all(m[abs(lit) - 1] == (lit > 0) for lit in assumptions)),
+                None,
+            )
+            assert solver.solve(assumptions) == expected
+    assert min(seen.values()) > 0, seen
+
+
 def test_max_sat_resilience_errors_on_unsat():
     with pytest.raises(ValueError, match="not even 0-resilient"):
         max_sat_resilience(CnfFormula.make(1, [(1,), (-1,)]))

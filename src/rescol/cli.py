@@ -2,8 +2,7 @@
 
 Reports are line-oriented ``key=value`` records; lines starting with ``#``
 carry commentary such as wall-clock time and are not part of the stable
-record.  Resilience scans run in one process; ``--threads`` is still
-accepted for existing scripts and changes nothing in a report.  Exit
+record, so two runs of one command print the same stable lines.  Exit
 codes: 0 for a positive verdict or successful output, 1 for a negative
 verdict, 2 for an InputError (bad arguments or input text; a ParseError is
 one) or an unreadable file, 3 for an exceeded size budget.  The library
@@ -235,12 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rescol",
         description="Resilient graph coloring and SAT: exact checks, reductions, gadget verification.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; resilience scans run in one process",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_color = sub.add_parser("color", help="decide k-colorability of a DIMACS edge file")
@@ -280,8 +273,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise InputError("--threads must be >= 1")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

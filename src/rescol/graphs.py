@@ -71,9 +71,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
 
 def parse_graph(text: str) -> Graph:
     """Read a DIMACS edge-format graph ("p edge n m" header, "e u v" lines, 1-indexed).
@@ -126,7 +123,7 @@ def parse_graph(text: str) -> Graph:
 def serialize_graph(g: Graph) -> str:
     """Write DIMACS edge format with edges sorted; parse(serialize(g)) == g."""
     lines = [f"p edge {g.n} {len(g.edges)}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.sorted_edges())
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
 
 

@@ -359,17 +359,13 @@ def three_sat_to_coloring(phi3: CnfFormula) -> GadgetGraph:
 def decode_coloring(gg: GadgetGraph, colors: Iterable[int]) -> dict[int, bool]:
     """Read a truth assignment off a proper 3-coloring of a gadget graph.
 
-    The coloring is first renamed so the base vertex is gray; a variable is
-    true when its positive ports share a color.  Variables that never occur
-    default to True.  Improper colorings are rejected.
+    A variable is true when its positive ports share a color, which no
+    renaming of the colors changes.  Variables that never occur default to
+    True.  An improper coloring raises InputError.
     """
     colors = tuple(colors)
     if not validate_coloring(gg.graph, colors, 3):
-        raise ValueError("not a proper 3-coloring of the gadget graph")
-    base_color = colors[gg.base]
-    if base_color != GRAY:
-        swap = {base_color: GRAY, GRAY: base_color}
-        colors = tuple(swap.get(c, c) for c in colors)
+        raise InputError("not a proper 3-coloring of the gadget graph")
     assignment: dict[int, bool] = {}
     for v in range(1, gg.source_num_vars + 1):
         pair = gg.literal_ports.get(v)

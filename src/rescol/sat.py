@@ -175,7 +175,7 @@ def parse_cnf(text: str) -> CnfFormula:
 def serialize_cnf(phi: CnfFormula) -> str:
     """Write DIMACS CNF, literal order preserved; parse(serialize(phi)) == phi."""
     if phi.has_empty_clause:
-        raise ValueError("cannot serialize a formula containing an empty clause")
+        raise InputError("cannot serialize a formula containing an empty clause")
     lines = [f"p cnf {phi.num_vars} {len(phi.clauses)}"]
     lines.extend(" ".join(map(str, cl)) + " 0" for cl in phi.clauses)
     return "\n".join(lines) + "\n"

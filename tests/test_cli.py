@@ -38,6 +38,7 @@ from rescol.reductions import (
     ContractCheck,
     ContractReport,
     blow_up,
+    decode_coloring,
     hardness_chain,
     shrink_down,
     six_cnf_to_graph,
@@ -399,17 +400,6 @@ def test_verify_gadgets_reports_failures(monkeypatch, capsys):
     ]
 
 
-def test_thread_count_does_not_change_report(tmp_path, capsys):
-    path = write_graph(tmp_path, classic("durer"))
-    argv = ["resilience", path, "--mode", "graph", "--r", "2", "--k", "3"]
-    rc_one = main(["--threads", "1"] + argv)
-    first = stable_lines(capsys.readouterr().out)
-    rc_two = main(["--threads", "2"] + argv)
-    second = stable_lines(capsys.readouterr().out)
-    assert rc_one == rc_two
-    assert first == second
-
-
 def test_missing_file_is_a_usage_error(capsys):
     rc = main(["color", "/nonexistent/graph.col", "--k", "3"])
     assert rc == 2
@@ -423,9 +413,11 @@ def test_malformed_input_is_a_usage_error(monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_missing_subcommand_exits_via_argparse():
+# an option the parser does not define exits through argparse too
+@pytest.mark.parametrize("argv", [[], ["--threads", "2", "classics"]])
+def test_missing_subcommand_exits_via_argparse(argv):
     with pytest.raises(SystemExit) as excinfo:
-        main([])
+        main(argv)
     assert excinfo.value.code == 2
 
 
@@ -437,7 +429,6 @@ def test_missing_subcommand_exits_via_argparse():
         ["resilience", "{graph}", "--mode", "graph", "--r", "1", "--k", "0"],
         ["resilience", "{cnf}", "--mode", "sat", "--r", "-1"],
         ["reduce", "{cnf}", "--kind", "blowup", "--s", "0"],
-        ["--threads", "0", "resilience", "{graph}", "--mode", "graph", "--r", "1", "--k", "3"],
         ["color", "{self_loop}", "--k", "3"],
         ["color", "{out_of_range}", "--k", "3"],
         ["color", "{binary}", "--k", "3"],
@@ -518,6 +509,7 @@ def test_input_errors_are_input_error():
     g = classic("petersen")
     phi = CnfFormula.make(2, [(1, 2)])
     wide = CnfFormula.make(7, [tuple(range(1, 8))])
+    gg = six_cnf_to_graph(CnfFormula.make(1, [(1,) * 6]))
     checks = [
         lambda: is_k_colorable(g, 0),
         lambda: extend_coloring(g, 0, {}),
@@ -539,6 +531,8 @@ def test_input_errors_are_input_error():
         lambda: six_cnf_to_graph(wide),
         lambda: six_cnf_to_graph(CnfFormula(1, ((),))),
         lambda: restrict(phi, Restriction(((3, True),))),
+        lambda: serialize_cnf(CnfFormula(1, ((),))),
+        lambda: decode_coloring(gg, [0] * gg.graph.n),
         lambda: classic("moebius"),
         lambda: classic("petersen", 3),
         lambda: classic("complete"),

@@ -2,7 +2,11 @@
 
 Reports are line-oriented ``key=value`` records; lines starting with ``#``
 carry commentary such as wall-clock time and are not part of the stable
-record, so two runs of one command print the same stable lines.  Exit
+record, so two runs of one command print the same stable lines.  Each
+command returns its exit code and its report stream; ``main`` alone writes
+the ``#`` lines, after the command returns, on that stream: stdout for the
+reports, stderr for ``reduce``, and none when the output is an artifact
+(``classics NAME``) or the run fails with exit 2 or 3.  Exit
 codes: 0 for a positive verdict or successful output, 1 for a negative
 verdict, 2 for an InputError (bad arguments or input text; a ParseError is
 one) or an unreadable file, 3 for an exceeded size budget.  The library
@@ -64,10 +68,6 @@ def _emit(out: TextIO, key: str, value) -> None:
     print(f"{key}={value}", file=out)
 
 
-def _emit_time(out: TextIO, started: float) -> None:
-    print(f"# wall_time_s={time.perf_counter() - started:.3f}", file=out)
-
-
 def _edge_witness(pairs: tuple[tuple[int, int], ...]) -> str:
     return ",".join(f"{u + 1}-{v + 1}" for u, v in pairs)
 
@@ -89,8 +89,7 @@ def _budget() -> int | None:
     return value
 
 
-def _cmd_color(args) -> int:
-    started = time.perf_counter()
+def _cmd_color(args) -> tuple[int, TextIO | None]:
     g = parse_graph(_read_text(args.file))
     colors = is_k_colorable(g, args.k)
     out = sys.stdout
@@ -101,12 +100,10 @@ def _cmd_color(args) -> int:
     _emit(out, "colorable", colors is not None)
     if colors is not None:
         _emit(out, "coloring", ",".join(map(str, colors)))
-    _emit_time(out, started)
-    return 0 if colors is not None else 1
+    return (0 if colors is not None else 1), out
 
 
-def _cmd_resilience(args) -> int:
-    started = time.perf_counter()
+def _cmd_resilience(args) -> tuple[int, TextIO | None]:
     out = sys.stdout
     if args.mode == "graph":
         if args.k is None:
@@ -134,12 +131,10 @@ def _cmd_resilience(args) -> int:
     if witness is not None:
         _emit(out, "witness", witness)
     _emit(out, *counter)
-    _emit_time(out, started)
-    return 0 if verdict.resilient else 1
+    return (0 if verdict.resilient else 1), out
 
 
-def _cmd_reduce(args) -> int:
-    started = time.perf_counter()
+def _cmd_reduce(args) -> tuple[int, TextIO | None]:
     report = sys.stderr
     budget = _budget()
     phi = parse_cnf(_read_text(args.file))
@@ -147,20 +142,7 @@ def _cmd_reduce(args) -> int:
     _emit(report, "kind", args.kind)
     _emit(report, "input_num_vars", phi.num_vars)
     _emit(report, "input_clauses", len(phi.clauses))
-    if args.kind == "blowup":
-        if args.s is None:
-            raise InputError("blowup requires --s")
-        psi = blow_up(phi, args.s, clause_budget=budget)
-        artifact = serialize_cnf(psi)
-    elif args.kind == "shrink":
-        psi = shrink_down(phi)
-        artifact = serialize_cnf(psi)
-    elif args.kind == "chain":
-        if args.r is None:
-            raise InputError("chain requires --r")
-        psi = hardness_chain(args.r, phi, clause_budget=budget)
-        artifact = serialize_cnf(psi)
-    else:  # to-coloring
+    if args.kind == "to-coloring":
         if args.output is None:
             raise InputError("to-coloring requires -o for the graph and sidecar files")
         gg = six_cnf_to_graph(phi, vertex_budget=budget)
@@ -171,7 +153,18 @@ def _cmd_reduce(args) -> int:
         _emit(report, "output_vertices", gg.graph.n)
         _emit(report, "output_edges", len(gg.graph.edges))
         _emit(report, "sidecar", sidecar_path)
-    if args.kind != "to-coloring":
+    else:
+        if args.kind == "blowup":
+            if args.s is None:
+                raise InputError("blowup requires --s")
+            psi = blow_up(phi, args.s, clause_budget=budget)
+        elif args.kind == "shrink":
+            psi = shrink_down(phi)
+        else:  # chain
+            if args.r is None:
+                raise InputError("chain requires --r")
+            psi = hardness_chain(args.r, phi, clause_budget=budget)
+        artifact = serialize_cnf(psi)
         _emit(report, "output_num_vars", psi.num_vars)
         _emit(report, "output_clauses", len(psi.clauses))
         _emit(report, "output_width", psi.width)
@@ -182,16 +175,14 @@ def _cmd_reduce(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(artifact)
         _emit(report, "output", args.output)
-    _emit_time(report, started)
-    return 0
+    return 0, report
 
 
-def _cmd_classics(args) -> int:
-    started = time.perf_counter()
+def _cmd_classics(args) -> tuple[int, TextIO | None]:
     out = sys.stdout
     if args.name is not None:
         sys.stdout.write(serialize_graph(classic(args.name.replace("-", "_"), args.param)))
-        return 0
+        return 0, None
     if args.param is not None:
         raise InputError("--param requires a graph name")
     _emit(out, "command", "classics")
@@ -210,12 +201,10 @@ def _cmd_classics(args) -> int:
             f"match={'true' if match else 'false'}",
         )
     _emit(out, "all_match", all_match)
-    _emit_time(out, started)
-    return 0 if all_match else 1
+    return (0 if all_match else 1), out
 
 
-def _cmd_verify_gadgets(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify_gadgets(args) -> tuple[int, TextIO | None]:
     out = sys.stdout
     report = verify_gadget_contracts()
     passed, failed = report.counts()
@@ -225,8 +214,7 @@ def _cmd_verify_gadgets(args) -> int:
     for check in report.failures():
         _emit(out, "failure", f"{check.gadget} {check.contract} {check.pattern} {check.detail}")
     _emit(out, "ok", report.ok)
-    _emit_time(out, started)
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,14 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, report = args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if report is not None:
+        print(f"# wall_time_s={time.perf_counter() - started:.3f}", file=report)
+    return code
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from typing import Iterable
 
 from .coloring import extend_coloring, validate_coloring
 from .graphs import Graph, InputError, add_edges, non_edges, normalize_edge
-from .sat import CnfFormula
+from .sat import CnfFormula, _is_tautology
 
 DEFAULT_CLAUSE_BUDGET = 10**6
 DEFAULT_VERTEX_BUDGET = 10**5
@@ -107,10 +107,9 @@ def _exact_three_cnf(phi: CnfFormula) -> CnfFormula:
     fresh = phi.num_vars
     out: list[tuple[int, ...]] = []
     for cl in phi.clauses:
-        lits = tuple(dict.fromkeys(cl))
-        if any(-lit in lits for lit in lits):
+        if _is_tautology(cl):
             continue
-        clauses = [lits]
+        clauses = [tuple(dict.fromkeys(cl))]
         while len(clauses[0]) < 3:
             fresh += 1
             clauses = [c + (sign * fresh,) for c in clauses for sign in (1, -1)]

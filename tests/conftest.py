@@ -159,8 +159,16 @@ def reference_first_uncovered(masks, solve, certs: list[int]):
 def counted(solve, calls: list[int], slot: int):
     """solve, counting its calls in calls[slot]."""
 
-    def counting(mask):
+    def counting(*args):
         calls[slot] += 1
-        return solve(mask)
+        return solve(*args)
 
     return counting
+
+
+def count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """Patch owner.name to count its calls in the returned one-slot list;
+    the solver-call pins read it."""
+    calls = [0]
+    monkeypatch.setattr(owner, name, counted(getattr(owner, name), calls, 0))
+    return calls

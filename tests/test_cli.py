@@ -9,6 +9,7 @@ directly: exit 2 is for InputError, and every other ValueError is raised.
 
 import io
 import json
+import re
 
 import pytest
 
@@ -398,6 +399,49 @@ def test_verify_gadgets_reports_failures(monkeypatch, capsys):
         "failure=clause survival 01 edge (1, 2) kills it",
         "ok=false",
     ]
+
+
+PETERSEN = serialize_graph(classic("petersen"))
+K4 = serialize_graph(complete_graph(4))
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, report",
+    [
+        (["color", "--k", "3"], PETERSEN, 0, "out"),
+        (["color", "--k", "3"], K4, 1, "out"),
+        (["resilience", "--mode", "graph", "--k", "3", "--r", "2"], PETERSEN, 0, "out"),
+        (["resilience", "--mode", "graph", "--k", "3", "--r", "0"], K4, 1, "out"),
+        (["resilience", "--mode", "sat", "--r", "1"], "p cnf 2 1\n1 2 0\n", 0, "out"),
+        (["resilience", "--mode", "sat", "--r", "0"], "p cnf 1 2\n1 0\n-1 0\n", 1, "out"),
+        (["classics"], "", 0, "out"),
+        (["verify-gadgets"], "", 0, "out"),
+        (["reduce", "--kind", "blowup", "--s", "2"], "p cnf 2 1\n1 2 0\n", 0, "err"),
+        (["reduce", "--kind", "to-coloring", "-o", "{out}"], "p cnf 6 1\n1 2 3 4 5 6 0\n", 0, "err"),
+        (["classics", "petersen"], "", 0, None),
+        (["color", "--k", "0"], PETERSEN, 2, None),
+        (["reduce", "--kind", "blowup", "--s", "10000"], "p cnf 3 3\n1 0\n2 0\n3 0\n", 3, None),
+    ],
+    ids=[
+        "color-0", "color-1", "graph-0", "graph-1", "sat-0", "sat-1", "classics", "verify-gadgets",
+        "blowup", "to-coloring", "classics-petersen", "exit-2", "exit-3",
+    ],
+)
+def test_wall_time_commentary(tmp_path, monkeypatch, capsys, argv, stdin, code, report):
+    """main ends the command's report stream with one wall-time line and
+    writes no '#' line elsewhere: not on an artifact, not after an error."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    rc = main([arg.format(out=tmp_path / "out.col") for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == code
+    for name, text in (("out", captured.out), ("err", captured.err)):
+        lines = text.splitlines()
+        comments = [line for line in lines if line.startswith("#")]
+        if name == report:
+            assert comments == lines[-1:]
+            assert re.fullmatch(r"# wall_time_s=\d+\.\d{3}", comments[0])
+        else:
+            assert comments == []
 
 
 def test_missing_file_is_a_usage_error(capsys):

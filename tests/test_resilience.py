@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     canonical_masks,
+    count_calls,
     counted,
     oracle_graph_first_failure,
     random_graph,
@@ -174,22 +175,10 @@ def test_max_agrees_with_direct_scan():
         assert got == expect
 
 
-def _count_solver_calls(monkeypatch) -> list[int]:
-    calls = [0]
-    solve = resilience._solve_masks
-
-    def counting(*args):
-        calls[0] += 1
-        return solve(*args)
-
-    monkeypatch.setattr(resilience, "_solve_masks", counting)
-    return calls
-
-
 def test_coloring_cache_solver_calls_pinned(monkeypatch):
     """Perf gate: the coloring cache answers all but 49 of the 43,863 subsets
     scanned; a cache regression changes this count."""
-    calls = _count_solver_calls(monkeypatch)
+    calls = count_calls(monkeypatch, resilience, "_solve_masks")
     verdict = is_r_resiliently_k_colorable(classic("durer"), 5, 4)
     assert not verdict.resilient
     assert verdict.witness == ((0, 2), (0, 8), (0, 10), (2, 6), (2, 10))
@@ -202,7 +191,7 @@ def test_coloring_cache_solver_calls_pinned(monkeypatch):
 )
 def test_max_graph_resilience_solver_calls_pinned(monkeypatch, name, expected, pinned):
     """Perf gate: one coloring cache serves the whole sweep over r."""
-    calls = _count_solver_calls(monkeypatch)
+    calls = count_calls(monkeypatch, resilience, "_solve_masks")
     assert max_graph_resilience(classic(name), 4) == expected
     assert calls[0] == pinned
 
@@ -210,7 +199,7 @@ def test_max_graph_resilience_solver_calls_pinned(monkeypatch, name, expected, p
 def test_clebsch_scan_solver_calls_pinned(monkeypatch):
     """Perf gate: the Clebsch graph is 4-resiliently 5-colorable, and 71
     solves answer all C(80, 4) subsets."""
-    calls = _count_solver_calls(monkeypatch)
+    calls = count_calls(monkeypatch, resilience, "_solve_masks")
     verdict = is_r_resiliently_k_colorable(classic("clebsch"), 4, 5)
     assert verdict.resilient and verdict.witness is None
     assert verdict.subsets_checked == comb(80, 4) == 1_581_580
@@ -242,7 +231,7 @@ def test_scan_matches_plain_reference_scan(monkeypatch):
     the public API, and the same results and certificates when one store
     is carried through r = 0..3 (as the max sweep does), including sizes
     above the non-edge count."""
-    calls = _count_solver_calls(monkeypatch)
+    calls = count_calls(monkeypatch, resilience, "_solve_masks")
     rng = random.Random(35)
     for _ in range(250):
         g = random_graph(rng, max_n=9)

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     brute_satisfiable,
     canonical_masks,
+    count_calls,
     counted,
     oracle_sat_first_failure,
     random_cnf,
@@ -331,37 +332,21 @@ def test_max_sat_resilience_matches_oracle():
 def test_model_cache_solver_calls_pinned(monkeypatch):
     """Perf gate: the model cache answers most restrictions of a blow-up scan
     without a solve; a cache regression changes this count."""
-    calls = 0
-    solve = sat._Solver.solve
-
-    def counting(self, *args):
-        nonlocal calls
-        calls += 1
-        return solve(self, *args)
-
-    monkeypatch.setattr(sat._Solver, "solve", counting)
+    calls = count_calls(monkeypatch, sat._Solver, "solve")
     psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
     verdict = is_r_resilient(psi, 2)
     assert verdict.resilient and verdict.restrictions_checked == math.comb(9, 2) * 4
-    assert calls == 37
-    assert calls < verdict.restrictions_checked
+    assert calls[0] == 37
+    assert calls[0] < verdict.restrictions_checked
 
 
 def test_max_sat_resilience_solver_calls_pinned(monkeypatch):
     """Perf gate: every model found, from the r = 0 scan on, serves the
     whole sweep."""
-    calls = 0
-    solve = sat._Solver.solve
-
-    def counting(self, *args):
-        nonlocal calls
-        calls += 1
-        return solve(self, *args)
-
-    monkeypatch.setattr(sat._Solver, "solve", counting)
+    calls = count_calls(monkeypatch, sat._Solver, "solve")
     psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
     assert max_sat_resilience(psi) == 8
-    assert calls == 446
+    assert calls[0] == 446
 
 
 def test_scan_matches_plain_reference_scan(monkeypatch):
@@ -370,13 +355,7 @@ def test_scan_matches_plain_reference_scan(monkeypatch):
     through the public API, and the same results and models when one store
     is carried through r = 0..3 (as the max sweep does), including sizes
     above num_vars."""
-    calls = [0]
-    solve_under = sat._Solver.solve
-
-    def counting(self, *args):
-        calls[0] += 1
-        return solve_under(self, *args)
-
+    calls = count_calls(monkeypatch, sat._Solver, "solve")
     rng = random.Random(29)
     for _ in range(250):
         phi = random_cnf(rng, max_vars=7, max_clauses=8, max_width=4)
@@ -391,9 +370,7 @@ def test_scan_matches_plain_reference_scan(monkeypatch):
                 canonical_masks(n, 2, size), counted(solve, ref, 0), []
             )
             calls[0] = 0
-            with monkeypatch.context() as patch:
-                patch.setattr(sat._Solver, "solve", counting)
-                verdict = is_r_resilient(phi, r)
+            verdict = is_r_resilient(phi, r)
             assert verdict.resilient == (failure is None)
             if failure is not None:
                 fixes = tuple((i // 2 + 1, bool(i % 2)) for i in range(2 * n) if failure >> i & 1)
@@ -482,18 +459,10 @@ def test_max_sat_resilience_saturated(monkeypatch):
     assert max_sat_resilience(CnfFormula.make(1, [(1, -1)])) == SATURATED
     assert max_sat_resilience(CnfFormula.make(2, [])) == SATURATED
     # answered without a search: a sweep to r = num_vars would cost 2^n solves
-    calls = 0
-    solve = sat._Solver.solve
-
-    def counting(self, *args):
-        nonlocal calls
-        calls += 1
-        return solve(self, *args)
-
-    monkeypatch.setattr(sat._Solver, "solve", counting)
+    calls = count_calls(monkeypatch, sat._Solver, "solve")
     assert max_sat_resilience(CnfFormula(12, ())) == SATURATED
     assert max_sat_resilience(CnfFormula.make(12, [(1, -1)])) == SATURATED
-    assert calls == 0
+    assert calls[0] == 0
 
 
 def test_clause_bound():

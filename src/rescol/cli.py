@@ -135,13 +135,16 @@ def _cmd_resilience(args) -> tuple[int, TextIO | None]:
 
 
 def _cmd_reduce(args) -> tuple[int, TextIO | None]:
-    report = sys.stderr
+    # the report is written only after every check and write has passed, so
+    # an exit of 2 or 3 leaves just the error line
     budget = _budget()
     phi = parse_cnf(_read_text(args.file))
-    _emit(report, "command", "reduce")
-    _emit(report, "kind", args.kind)
-    _emit(report, "input_num_vars", phi.num_vars)
-    _emit(report, "input_clauses", len(phi.clauses))
+    lines = [
+        ("command", "reduce"),
+        ("kind", args.kind),
+        ("input_num_vars", phi.num_vars),
+        ("input_clauses", len(phi.clauses)),
+    ]
     if args.kind == "to-coloring":
         if args.output is None:
             raise InputError("to-coloring requires -o for the graph and sidecar files")
@@ -150,9 +153,11 @@ def _cmd_reduce(args) -> tuple[int, TextIO | None]:
         sidecar_path = args.output + ".gadgets.json"
         with open(sidecar_path, "w", encoding="utf-8") as fh:
             fh.write(provenance_json(gg))
-        _emit(report, "output_vertices", gg.graph.n)
-        _emit(report, "output_edges", len(gg.graph.edges))
-        _emit(report, "sidecar", sidecar_path)
+        lines += [
+            ("output_vertices", gg.graph.n),
+            ("output_edges", len(gg.graph.edges)),
+            ("sidecar", sidecar_path),
+        ]
     else:
         if args.kind == "blowup":
             if args.s is None:
@@ -165,17 +170,21 @@ def _cmd_reduce(args) -> tuple[int, TextIO | None]:
                 raise InputError("chain requires --r")
             psi = hardness_chain(args.r, phi, clause_budget=budget)
         artifact = serialize_cnf(psi)
-        _emit(report, "output_num_vars", psi.num_vars)
-        _emit(report, "output_clauses", len(psi.clauses))
-        _emit(report, "output_width", psi.width)
+        lines += [
+            ("output_num_vars", psi.num_vars),
+            ("output_clauses", len(psi.clauses)),
+            ("output_width", psi.width),
+        ]
     if args.output is None:
         sys.stdout.write(artifact)
-        _emit(report, "output", "-")
+        lines.append(("output", "-"))
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(artifact)
-        _emit(report, "output", args.output)
-    return 0, report
+        lines.append(("output", args.output))
+    for key, value in lines:
+        _emit(sys.stderr, key, value)
+    return 0, sys.stderr
 
 
 def _cmd_classics(args) -> tuple[int, TextIO | None]:

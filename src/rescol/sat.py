@@ -8,15 +8,18 @@ survives every restriction of exactly r variables.
 There is one solver: an incremental DPLL built once per formula, which
 answers each restriction as a set of assumed literals and undoes them
 afterwards.  Its one trail records every assignment, and each clause is
-watched through its first two slots (the MiniSat layout).  Resilience scans
-keep every model found so far and run the lex-prefix search of
-``rescol.resilience`` over variable prefixes, so a restriction that agrees
-with a kept model is survived without a solve, and without being visited.
-Such hits can never flip a verdict, because the kept model is a model of
-the restricted formula.
+watched through its first two slots (the MiniSat layout).  Decisions follow
+a phase that the caller may pass, False by default, so ``is_satisfiable``
+returns the least model.  Resilience scans keep every model found so far and
+run the lex-prefix search of ``rescol.resilience`` over variable prefixes,
+so a restriction that agrees with a kept model is survived without a solve,
+and without being visited.  Such hits can never flip a verdict, because the
+kept model is a model of the restricted formula.  Each scan solve takes a
+phase drawn from its restriction, so kept models differ and cover more.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -186,17 +189,20 @@ class _Solver:
 
     The constructor builds the watch lists and assigns the unit clauses once
     (the level-0 trail).  Each ``solve`` pushes its assumed literals, decides
-    the lowest unassigned variable False, propagates units to fixpoint after
-    each decision, and undoes back to the level-0 trail before it returns.
+    the lowest unassigned variable to its phase value (False unless the
+    caller's ``phase`` says True), propagates units to fixpoint after each
+    decision, and undoes back to the level-0 trail before it returns.
     ``marks`` holds the trail length before each open decision (MiniSat's
     ``trail_lim``).  A conflict pops the last mark, undoes to it and asserts
-    the variable True as an implied literal of the level below, so the first
-    model found is the least one extending the assumptions (variable 1 most
-    significant, False before True).  ``trail[head:]`` holds the literals not
-    yet propagated.  A clause of two or more literals is a list watched
-    through its slots 0 and 1: propagation visits only the clauses watching a
-    newly falsified literal and swaps a replacement watch into slot 1.
-    Watches need no repair on undo.
+    the decision's negation as an implied literal of the level below, so the
+    first model found is the first one extending the assumptions in the
+    order where variable 1 is most significant and each variable's phase
+    value comes first; with phase 0 it is the least model (False before
+    True).  ``trail[head:]`` holds the literals not yet propagated.  A clause
+    of two or more literals is a list watched through its slots 0 and 1:
+    propagation visits only the clauses watching a newly falsified literal
+    and swaps a replacement watch into slot 1.  Watches need no repair on
+    undo.
     """
 
     def __init__(self, phi: CnfFormula):
@@ -278,9 +284,12 @@ class _Solver:
             value[lit] = value[-lit] = None
         self.head = mark
 
-    def solve(self, assumptions: Iterable[int] = ()) -> list[bool] | None:
+    def solve(self, assumptions: Iterable[int] = (), phase: int = 0) -> list[bool] | None:
         """A model extending the assumed literals, or None.
 
+        Each decision first tries variable v at bit v of ``phase``, so the
+        model returned is the first one extending the assumptions when every
+        variable tries its phase value first; phase 0 gives the least model.
         The model lists the values of variables 1..num_vars in order.
         """
         if not self.consistent:
@@ -298,14 +307,15 @@ class _Solver:
                 if var > n:
                     return value[1 : n + 1]
                 marks.append(len(self.trail))
-                ok = self._assign(-var) and self._propagate()
+                ok = self._assign(var if phase >> var & 1 else -var) and self._propagate()
                 while not ok:
                     if not marks:
                         return None
                     mark = marks.pop()
-                    var = -self.trail[mark]
+                    lit = -self.trail[mark]
+                    var = abs(lit)
                     self._undo(mark)
-                    ok = self._assign(var) and self._propagate()
+                    ok = self._assign(lit) and self._propagate()
         finally:
             self._undo(self.base)
 
@@ -367,10 +377,22 @@ def _fixes(mask: int) -> list[tuple[int, bool]]:
 
 def _model_certifier(solver: _Solver) -> Callable[[int], int | None]:
     """The solve of a formula scan: a literal mask maps to the literal mask of
-    a model that makes those literals true, or to None when there is none."""
+    a model that makes those literals true, or to None when there is none.
+
+    Least models all look alike, so each would cover few restrictions that
+    earlier ones miss.  Each solve therefore takes a pseudo-random phase
+    seeded with the mask itself: any model extending the restriction is a
+    valid certificate, and None does not depend on the phase, so verdicts,
+    witnesses and counters cannot move.  A pure function of the mask keeps
+    the certifier free of call history (a scan and a reference scan sharing
+    it solve alike), and seeding ``random`` with an int does not depend on
+    ``PYTHONHASHSEED``.
+    """
+    width = solver.num_vars + 1
 
     def solve(mask: int) -> int | None:
-        model = solver.solve([var if val else -var for var, val in _fixes(mask)])
+        phase = random.Random(mask).getrandbits(width)
+        model = solver.solve([var if val else -var for var, val in _fixes(mask)], phase)
         return None if model is None else _model_mask(model)
 
     return solve

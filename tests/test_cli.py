@@ -299,6 +299,31 @@ def test_budget_exceeded_exits_three(tmp_path, capsys, clauses, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, stdin, code, message",
+    [
+        (["--kind", "blowup"], "p cnf 3 1\n1 2 3 0\n", 2, "blowup requires --s"),
+        (["--kind", "blowup", "--s", "400000"], "p cnf 3 1\n1 2 3 0\n", 3, "over the budget"),
+        (["--kind", "chain"], "p cnf 3 1\n1 2 3 0\n", 2, "chain requires --r"),
+        (["--kind", "chain", "--r", "20000"], "p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n", 3, "over the budget"),
+        (["--kind", "shrink"], "p cnf 1 1\n1 0\n", 2, "width"),
+        (["--kind", "to-coloring"], "p cnf 3 1\n1 2 3 0\n", 2, "requires -o"),
+        (["--kind", "blowup", "--s", "2", "-o", "{missing}"], "p cnf 3 1\n1 2 3 0\n", 2, "No such file"),
+        (["--kind", "to-coloring", "-o", "{missing}"], "p cnf 6 1\n1 2 3 4 5 6 0\n", 2, "No such file"),
+    ],
+)
+def test_reduce_failure_leaves_only_the_error_line(tmp_path, monkeypatch, capsys, argv, stdin, code, message):
+    """A reduce that exits 2 or 3 writes no partial report and no artifact."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    missing = str(tmp_path / "missing" / "out")
+    rc = main(["reduce"] + [arg.format(missing=missing) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_reduce_budget_env_must_be_integer(tmp_path, capsys, monkeypatch):
     path = write_cnf(tmp_path, CnfFormula.make(1, ((1,),)))
     for value, message in (("lots", "must be an integer"), ("-1", "must be >= 0")):

@@ -21,7 +21,7 @@ from rescol.reductions import (
     three_sat_to_coloring,
 )
 from rescol.resilience import is_r_resiliently_k_colorable
-from rescol.sat import CnfFormula, is_r_resilient, is_satisfiable
+from rescol.sat import CnfFormula, is_r_resilient, is_satisfiable, restrict
 
 
 def satisfies(phi: CnfFormula, assignment: dict[int, bool]) -> bool:
@@ -267,6 +267,9 @@ def test_hardness_chain_lemma_exact():
         (2, CnfFormula.make(3, [(1, 2)]), 9112),
         (2, CnfFormula.make(3, [(1, 2, 3), (-1, -2, -3)]), 8320),
         (3, CnfFormula.make(3, [(1, 2, 3)]), 7752),
+        # 457 output variables
+        (2, CnfFormula.make(1, [(1,)]), 416784),
+        (3, CnfFormula.make(3, [(1, 2, 3), (-1, -2, -3)]), 2480992),
     ]
     for r, phi, checked in cases:
         out = hardness_chain(r, phi)
@@ -280,6 +283,23 @@ def test_hardness_chain_lemma_exact():
         # on the first input
         first = sorted(out.clauses[0], key=abs)
         assert control.witness.fixes == tuple((abs(lit), lit < 0) for lit in first)
+    # random 3-CNFs of one or two clauses over four variables, at r = 2
+    # (three clauses make outputs of 1,500-3,600 variables, 1-2 s each)
+    rng = random.Random(35)
+    for _ in range(10):
+        clauses = [
+            tuple(rng.choice((1, -1)) * v for v in rng.sample(range(1, 5), 3))
+            for _ in range(rng.randint(1, 2))
+        ]
+        phi = CnfFormula.make(4, clauses)
+        assert brute_satisfiable(phi)
+        out = hardness_chain(2, phi)
+        verdict = is_r_resilient(out, 2)
+        assert verdict.resilient
+        assert verdict.restrictions_checked == math.comb(out.num_vars, 2) * 4
+        control = is_r_resilient(out, 3)
+        assert not control.resilient and len(control.witness) == 3
+        assert is_satisfiable(restrict(out, control.witness)) is None
 
 
 def test_hardness_chain_budget():

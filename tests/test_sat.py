@@ -16,7 +16,7 @@ from conftest import (
 )
 from rescol import sat
 from rescol.graphs import ParseError
-from rescol.reductions import blow_up
+from rescol.reductions import blow_up, hardness_chain
 from rescol.sat import (
     SATURATED,
     CnfFormula,
@@ -336,7 +336,7 @@ def test_model_cache_solver_calls_pinned(monkeypatch):
     psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
     verdict = is_r_resilient(psi, 2)
     assert verdict.resilient and verdict.restrictions_checked == math.comb(9, 2) * 4
-    assert calls[0] == 37
+    assert calls[0] == 10
     assert calls[0] < verdict.restrictions_checked
 
 
@@ -346,7 +346,7 @@ def test_max_sat_resilience_solver_calls_pinned(monkeypatch):
     calls = count_calls(monkeypatch, sat._Solver, "solve")
     psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
     assert max_sat_resilience(psi) == 8
-    assert calls[0] == 446
+    assert calls[0] == 421
 
 
 def test_scan_matches_plain_reference_scan(monkeypatch):
@@ -450,6 +450,48 @@ def test_solver_returns_least_model():
     assert min(seen.values()) > 0, seen
 
 
+def test_solver_follows_phase():
+    """Under a phase mask, each answer is the first model extending the
+    assumptions when variable 1 is most significant and each variable v
+    tries bit v of the phase first, found here by enumerating every
+    assignment in that order."""
+    # deciding x1 True conflicts at once, so the flip must assert the literal
+    # -1 and the scan go on from variable 2, deciding no variable 0
+    solver = sat._Solver(CnfFormula.make(3, [(-1, 2), (-1, -2)]))
+    assigned = []
+    assign = solver._assign
+    solver._assign = lambda lit: assigned.append(lit) or assign(lit)
+    assert solver.solve((), 0b0010) == [False, False, False]
+    assert assigned == [1, -1, -2, -3]
+    assert solver.solve((), 0b1110) == [False, True, True]
+    assert solver.solve((3,), 0b0010) == [False, False, True]
+    rng = random.Random(32)
+    seen = {"unit": 0, "tautology": 0, "contradictory": 0, "unsat": 0}
+    for _ in range(300):
+        phi = random_cnf(rng, max_vars=9, max_clauses=12, max_width=4)
+        n = phi.num_vars
+        seen["unit"] += any(len(cl) == 1 for cl in phi.clauses)
+        seen["tautology"] += any(-lit in cl for cl in phi.clauses for lit in cl)
+        solver = sat._Solver(phi)
+        for _ in range(6):
+            phase = rng.getrandbits(n + 1)
+            first = [bool(phase >> var & 1) for var in range(1, n + 1)]
+            models = [
+                list(values)
+                for values in itertools.product(*([f, not f] for f in first))
+                if all(any(values[abs(lit) - 1] == (lit > 0) for lit in cl) for cl in phi.clauses)
+            ]
+            assumptions = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 4))]
+            seen["contradictory"] += any(-lit in assumptions for lit in assumptions)
+            expected = next(
+                (m for m in models if all(m[abs(lit) - 1] == (lit > 0) for lit in assumptions)),
+                None,
+            )
+            seen["unsat"] += expected is None
+            assert solver.solve(assumptions, phase) == expected
+    assert min(seen.values()) > 0, seen
+
+
 def test_max_sat_resilience_errors_on_unsat():
     with pytest.raises(ValueError, match="not even 0-resilient"):
         max_sat_resilience(CnfFormula.make(1, [(1,), (-1,)]))
@@ -480,3 +522,48 @@ def test_clause_bound():
         ]
         if bounds:
             assert got != SATURATED and got < min(bounds)
+
+
+def least_model_certifier(solver):
+    """The scan's certifier with every decision False: each model is the
+    least one extending its restriction."""
+
+    def solve(mask):
+        model = solver.solve([var if val else -var for var, val in sat._fixes(mask)])
+        return None if model is None else sat._model_mask(model)
+
+    return solve
+
+
+def test_phase_changes_no_answer(monkeypatch):
+    """The certifier's phase picks only which model certifies a restriction:
+    verdicts, witnesses, restrictions_checked and max resilience equal those
+    of the least-model certifier on random formulas, blow-ups and chain
+    outputs."""
+    rng = random.Random(33)
+    corpus = [random_cnf(rng, max_vars=7, max_clauses=8, max_width=4) for _ in range(300)]
+    for s in (2, 3):
+        for _ in range(3):
+            corpus.append(blow_up(random_cnf(rng, max_vars=3, max_clauses=3, exact_width=True), s))
+    corpus += [
+        hardness_chain(2, CnfFormula.make(3, [(1, 2, 3)])),
+        hardness_chain(2, CnfFormula.make(3, [(1, -2, 3), (-1, 2, 3)])),
+        hardness_chain(2, CnfFormula.make(3, [(1, 2, 3), (-1, -2, -3)])),
+        hardness_chain(3, CnfFormula.make(3, [(1, 2, 3)])),
+    ]
+
+    def answers(phi):
+        verdicts = [is_r_resilient(phi, r) for r in range(4)]
+        best = None if is_satisfiable(phi) is None else max_sat_resilience(phi)
+        return verdicts, best
+
+    seen = {"resilient": 0, "witness": 0, "saturated": 0}
+    for phi in corpus:
+        phased = answers(phi)
+        with monkeypatch.context() as patch:
+            patch.setattr(sat, "_model_certifier", least_model_certifier)
+            assert answers(phi) == phased
+        seen["resilient"] += sum(v.resilient for v in phased[0])
+        seen["witness"] += sum(v.witness is not None for v in phased[0])
+        seen["saturated"] += phased[1] == SATURATED
+    assert min(seen.values()) > 0, seen

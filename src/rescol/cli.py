@@ -139,6 +139,7 @@ def _cmd_reduce(args) -> tuple[int, TextIO | None]:
     # an exit of 2 or 3 leaves just the error line
     budget = _budget()
     phi = parse_cnf(_read_text(args.file))
+    sidecar = None
     lines = [
         ("command", "reduce"),
         ("kind", args.kind),
@@ -150,13 +151,11 @@ def _cmd_reduce(args) -> tuple[int, TextIO | None]:
             raise InputError("to-coloring requires -o for the graph and sidecar files")
         gg = six_cnf_to_graph(phi, vertex_budget=budget)
         artifact = serialize_graph(gg.graph)
-        sidecar_path = args.output + ".gadgets.json"
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            fh.write(provenance_json(gg))
+        sidecar = (args.output + ".gadgets.json", provenance_json(gg))
         lines += [
             ("output_vertices", gg.graph.n),
             ("output_edges", len(gg.graph.edges)),
-            ("sidecar", sidecar_path),
+            ("sidecar", sidecar[0]),
         ]
     else:
         if args.kind == "blowup":
@@ -182,6 +181,10 @@ def _cmd_reduce(args) -> tuple[int, TextIO | None]:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(artifact)
         lines.append(("output", args.output))
+    # after the graph file, so a graph that cannot be written leaves no sidecar
+    if sidecar is not None:
+        with open(sidecar[0], "w", encoding="utf-8") as fh:
+            fh.write(sidecar[1])
     for key, value in lines:
         _emit(sys.stderr, key, value)
     return 0, sys.stderr

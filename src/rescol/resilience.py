@@ -188,18 +188,53 @@ def _first_uncovered(
 
 
 def _max_resilience(
-    store: _CertificateStore, solve: Callable[[int], int | None], message: str
-) -> int | str:
-    """The r-sweep of both ``max_*`` functions over one certificate store:
-    r - 1 for the first r in 0..store.groups with an uncovered subset,
-    SATURATED when no r has one.  Raises InputError(message) when r = 0
-    already fails.  Every certificate found at one r serves the later ones."""
-    for r in range(store.groups + 1):
+    store: _CertificateStore, solve: Callable[[int], int | None], message: str, upper: int
+) -> int:
+    """The r-sweep of both ``max_*`` functions over one certificate store.
+
+    ``upper`` bounds the answer from above, so the sweep runs r = 0..upper
+    and stops at the first r with an uncovered subset, returning r - 1, or
+    returns upper when none has one: the bound spares the sweep its final
+    failing scan, usually its largest.  Raises
+    InputError(message) when r = 0 already fails.  Every certificate found
+    at one r serves the later ones."""
+    for r in range(upper + 1):
         if _first_uncovered(store, r, solve)[0] is not None:
             if r == 0:
                 raise InputError(message)
             return r - 1
-    return SATURATED
+    return upper
+
+
+def _missing_edge_bound(g: Graph, k: int) -> int:
+    """The fewest missing edges m over n greedy (k+1)-vertex sets of g, one
+    grown from each vertex; needs n > k.  Adding a set's missing edges
+    completes a K_{k+1}, so g is not m-resiliently k-colorable.  A set grows
+    by the vertex with the most neighbours already in it, least index on
+    ties.  Those counts rise along each new vertex's neighbours, so the cost
+    is n * k steps over neighbour lists, with no search over all
+    (k+1)-sets."""
+    full = comb(k + 1, 2)
+    best = full
+    for start in range(g.n):
+        chosen = {start}
+        count = dict.fromkeys(g.neighbors[start], 1)
+        inside = 0
+        for _ in range(k):
+            if count:
+                top = max(count.values())
+                v = min(u for u, c in count.items() if c == top)
+                inside += count.pop(v)
+            else:
+                v = next(u for u in range(g.n) if u not in chosen)
+            chosen.add(v)
+            for u in g.neighbors[v]:
+                if u not in chosen:
+                    count[u] = count.get(u, 0) + 1
+        best = min(best, full - inside)
+        if not best:
+            break
+    return best
 
 
 def _coloring_certifier(
@@ -248,7 +283,9 @@ def max_graph_resilience(g: Graph, k: int) -> int | str:
     Returns SATURATED when the complete graph on g's vertices is itself
     k-colorable (n <= k), in which case every r qualifies; raises when g is
     not k-colorable at all (not 0-resilient).  One certificate store serves
-    the whole sweep over r.
+    the whole sweep over r, which stops at the first failing r or at one
+    less than the fewest missing edges of a greedy (k+1)-vertex set
+    (``_missing_edge_bound``), whichever comes first.
     """
     if k < 1:
         raise InputError("k must be >= 1")
@@ -259,4 +296,6 @@ def max_graph_resilience(g: Graph, k: int) -> int | str:
         _CertificateStore(len(candidates), 1),
         _coloring_certifier(g, k, candidates),
         "graph is not even 0-resilient (not k-colorable)",
+        # 0 missing edges: g contains K_{k+1}, and the r = 0 scan raises
+        max(_missing_edge_bound(g, k) - 1, 0),
     )

@@ -430,12 +430,18 @@ def max_sat_resilience(phi: CnfFormula) -> int | str:
     Returns SATURATED, without a search, exactly when every clause is a
     tautology, that is when phi survives fixing all num_vars variables; raises
     InputError for unsatisfiable input, which is not even 0-resilient.  One
-    solver and one store of every model found serve the sweep from r = 0.
+    solver and one store of every model found serve the sweep from r = 0,
+    which stops at the first failing r or at w - 1, whichever comes first:
+    fixing the w distinct variables of the narrowest non-tautological clause
+    against it falsifies it, so phi is not w-resilient.
     """
-    if all(_is_tautology(cl) for cl in phi.clauses):
+    widths = [len(set(cl)) for cl in phi.clauses if not _is_tautology(cl)]
+    if not widths:
         return SATURATED
     return _max_resilience(
         _CertificateStore(phi.num_vars, 2),
         _model_certifier(_Solver(phi)),
         "formula is not even 0-resilient",
+        # an empty clause gives w = 0: phi is unsatisfiable, and the r = 0 scan raises
+        max(min(widths) - 1, 0),
     )

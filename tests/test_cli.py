@@ -324,6 +324,19 @@ def test_reduce_failure_leaves_only_the_error_line(tmp_path, monkeypatch, capsys
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+def test_reduce_to_coloring_unwritable_graph_leaves_no_sidecar(tmp_path, monkeypatch, capsys):
+    """The graph file is written before its sidecar, so an -o that names a
+    directory exits 2 with no .gadgets.json on disk."""
+    monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 6 1\n1 2 3 4 5 6 0\n"))
+    out_dir = tmp_path / "outdir"
+    out_dir.mkdir()
+    rc = main(["reduce", "--kind", "to-coloring", "-o", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"]
+    assert list(out_dir.iterdir()) == []
+
+
 def test_reduce_budget_env_must_be_integer(tmp_path, capsys, monkeypatch):
     path = write_cnf(tmp_path, CnfFormula.make(1, ((1,),)))
     for value, message in (("lots", "must be an integer"), ("-1", "must be >= 0")):

@@ -187,13 +187,80 @@ def test_coloring_cache_solver_calls_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, expected, pinned", [("durer", 4, 93), ("grotzsch", 4, 68), ("chvatal", 3, 57)]
+    "name, expected, pinned", [("durer", 4, 68), ("grotzsch", 4, 61), ("chvatal", 3, 31)]
 )
 def test_max_graph_resilience_solver_calls_pinned(monkeypatch, name, expected, pinned):
     """Perf gate: one coloring cache serves the whole sweep over r."""
     calls = count_calls(monkeypatch, resilience, "_solve_masks")
     assert max_graph_resilience(classic(name), 4) == expected
     assert calls[0] == pinned
+
+
+def test_max_clebsch_solver_calls_pinned(monkeypatch):
+    """Perf gate: the Clebsch graph has 4 as its exact max resilience at
+    k = 4, and the sweep ends at the missing-edge bound without the r = 5
+    scan."""
+    calls = count_calls(monkeypatch, resilience, "_solve_masks")
+    assert max_graph_resilience(classic("clebsch"), 4) == 4
+    assert calls[0] == 82
+
+
+def test_missing_edge_bound_never_below_brute_force():
+    """The greedy bound is never below the fewest missing edges over all
+    (k+1)-vertex sets, so one less than it is a valid upper bound."""
+    rng = random.Random(41)
+    for _ in range(300):
+        g = random_graph(rng, max_n=9, min_n=2)
+        k = rng.randint(1, g.n - 1)
+        fewest = min(
+            comb(k + 1, 2) - sum(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+            for s in itertools.combinations(range(g.n), k + 1)
+        )
+        assert resilience._missing_edge_bound(g, k) >= fewest
+
+
+def test_bounded_max_matches_unbounded_sweep(monkeypatch):
+    """The bounded sweep gives the answer of an r-by-r sweep of single-r
+    scans, raising where it raises, and never solves more than the sweep
+    that runs until its first failing r.  A quarter of the random graphs
+    contain a planted K_{k+1}; Durer at k = 3 has a bound above its value,
+    so its sweep stops at a failing scan."""
+    calls = count_calls(monkeypatch, resilience, "_solve_masks")
+    rng = random.Random(43)
+    cases = [(classic("durer"), 3)]
+    for _ in range(600):
+        k = rng.randint(2, 4)
+        g = random_graph(rng, max_n=7, min_n=k)
+        if rng.random() < 1 / 4 and g.n > k:
+            clique = rng.sample(range(g.n), k + 1)
+            g = add_edges(g, [(u, v) for u, v in itertools.combinations(clique, 2) if not g.has_edge(u, v)])
+        cases.append((g, k))
+    for g, k in cases:
+        if g.n <= k:
+            expect = SATURATED
+        else:
+            # all non-edges added make K_n, so some r fails
+            r = next(
+                r
+                for r in range(len(non_edges(g)) + 1)
+                if not is_r_resiliently_k_colorable(g, r, k).resilient
+            )
+            expect = "raises" if r == 0 else r - 1
+        calls[0] = 0
+        try:
+            got = max_graph_resilience(g, k)
+        except ValueError:
+            got = "raises"
+        assert got == expect
+        if isinstance(got, int):
+            bounded = calls[0]
+            candidates = non_edges(g)
+            solve = resilience._coloring_certifier(g, k, candidates)
+            calls[0] = 0
+            store = resilience._CertificateStore(len(candidates), 1)
+            assert resilience._max_resilience(store, solve, "", len(candidates)) == got
+            assert bounded <= calls[0]
+    assert resilience._missing_edge_bound(classic("durer"), 3) - 1 > 1
 
 
 def test_clebsch_scan_solver_calls_pinned(monkeypatch):

@@ -346,7 +346,42 @@ def test_max_sat_resilience_solver_calls_pinned(monkeypatch):
     calls = count_calls(monkeypatch, sat._Solver, "solve")
     psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
     assert max_sat_resilience(psi) == 8
-    assert calls[0] == 421
+    assert calls[0] == 420
+
+
+def test_bounded_max_matches_unbounded_sweep(monkeypatch):
+    """The sweep bounded by the narrowest non-tautological clause gives the
+    answer of an r-by-r sweep of single-r scans, raising where it raises,
+    and never solves more than the sweep that runs until its first failing
+    r.  Random clauses repeat literals and hold tautologies; a third of the
+    formulas also get a repeated-literal clause, a tautology, or both."""
+    calls = count_calls(monkeypatch, sat._Solver, "solve")
+    rng = random.Random(47)
+    for _ in range(600):
+        phi = random_cnf(rng, max_vars=6, max_clauses=5, max_width=4)
+        extra = []
+        if rng.random() < 1 / 3:
+            v, u = rng.randint(1, phi.num_vars), rng.randint(1, phi.num_vars)
+            extra = rng.choice([[(v, v, u)], [(v, -v, u)], [(v, v, u), (u, -v, v, -u)]])
+        phi = CnfFormula(phi.num_vars, phi.clauses + tuple(extra))
+        r = next((r for r in range(phi.num_vars + 1) if not is_r_resilient(phi, r).resilient), None)
+        if r is None:
+            expect = SATURATED
+        else:
+            expect = "raises" if r == 0 else r - 1
+        calls[0] = 0
+        try:
+            got = max_sat_resilience(phi)
+        except ValueError:
+            got = "raises"
+        assert got == expect
+        if isinstance(got, int):
+            bounded = calls[0]
+            calls[0] = 0
+            store = sat._CertificateStore(phi.num_vars, 2)
+            solve = sat._model_certifier(sat._Solver(phi))
+            assert sat._max_resilience(store, solve, "", phi.num_vars) == got
+            assert bounded <= calls[0]
 
 
 def test_scan_matches_plain_reference_scan(monkeypatch):

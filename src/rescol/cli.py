@@ -181,10 +181,15 @@ def _cmd_reduce(args) -> tuple[int, TextIO | None]:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(artifact)
         lines.append(("output", args.output))
-    # after the graph file, so a graph that cannot be written leaves no sidecar
+    # after the graph file, so a graph that cannot be written leaves no
+    # sidecar; a sidecar that cannot be written takes the graph file with it
     if sidecar is not None:
-        with open(sidecar[0], "w", encoding="utf-8") as fh:
-            fh.write(sidecar[1])
+        try:
+            with open(sidecar[0], "w", encoding="utf-8") as fh:
+                fh.write(sidecar[1])
+        except OSError:
+            os.unlink(args.output)
+            raise
     for key, value in lines:
         _emit(sys.stderr, key, value)
     return 0, sys.stderr

@@ -9,11 +9,23 @@ every other vertex, so a pin conflict is found like any other.  The search
 walks each graph's neighbor lists, so a color try costs the vertex's
 degree.  Pruning is forward checking on per-vertex masks of still-available
 colors plus conflict-directed backjumping (Prosser's FC-CBJ): every removed
-color records the position that removed it, so a dead end jumps straight
-back to the deepest assignment actually involved instead of stepping
-through unrelated vertices.  Backjumping only skips branches that provably
-contain no proper coloring, so the coloring returned is still the first one
-in search order, whatever the order of the neighbor lists.
+color records the positions whose assignments removed it, so a dead end
+jumps straight back to the deepest assignment actually involved instead of
+stepping through unrelated vertices.
+
+At k = 3 each forward check is followed by a forced-color step run to a
+fixpoint, a cheap form of maintaining consistency during search (Sabin &
+Freuder's MAC) at the level of Hall sets of one and two vertices: a vertex
+left with one color takes it away from its neighbors, and two adjacent
+vertices left with the same two colors take both away from every common
+neighbor.  In the reductions' clause gadgets such a pair forces its common
+neighbor to the third color, which forward checking alone learns only by
+retrying every combination of colors below it; with the step the gadget
+graphs color with few or no backjumps.
+
+Pruning and backjumping only skip branches that provably contain no proper
+coloring, so the coloring returned is still the first one in search order,
+whatever the order of the neighbor lists.
 """
 from __future__ import annotations
 
@@ -33,6 +45,75 @@ class DegreeWitness:
     degree: int
 
 
+def _removers(u: int, base: list[int], avail: list[int], why: list[list[int]]) -> int:
+    """Mask of the positions that removed a color from u's mask."""
+    gone = base[u] & ~avail[u]
+    conf = 0
+    while gone:
+        c = (gone & -gone).bit_length() - 1
+        gone &= gone - 1
+        because = why[c][u]
+        conf |= ~because if because < 0 else 1 << because
+    return conf
+
+
+def _force(
+    queue: list[int],
+    nbrs: Sequence[Sequence[int]],
+    color: list[int],
+    base: list[int],
+    avail: list[int],
+    why: list[list[int]],
+    trail: list[int],
+) -> int:
+    """The forced-color step of ``_solve_masks`` at k = 3, run to a fixpoint
+    from the uncolored vertices in queue.  Each removal goes on the trail as
+    two entries, vertex then colors; returns a wiped-out vertex, or -1."""
+    while queue:
+        u = queue.pop()
+        a = avail[u]
+        if a & (a - 1) == 0:  # one color left: no neighbor may take it
+            removed_by = why[a.bit_length() - 1]
+            because = 0
+            for w in nbrs[u]:
+                if avail[w] & a and color[w] == -1:
+                    if not because:
+                        because = ~_removers(u, base, avail, why)
+                    avail[w] ^= a
+                    removed_by[w] = because
+                    trail += w, a
+                    if not avail[w]:
+                        return w
+                    queue.append(w)
+        elif a != 7:  # two colors left: a neighbor left with the same two takes the other
+            for w in nbrs[u]:
+                if avail[w] == a and color[w] == -1:
+                    because = 0
+                    for x in nbrs[w]:
+                        gone = avail[x] & a
+                        if gone and color[x] == -1 and x in nbrs[u]:
+                            if not because:
+                                because = ~(
+                                    _removers(u, base, avail, why) | _removers(w, base, avail, why)
+                                )
+                            avail[x] ^= gone
+                            trail += x, gone
+                            for c in range(3):
+                                if gone >> c & 1:
+                                    why[c][x] = because
+                            if not avail[x]:
+                                return x
+                            queue.append(x)
+    return -1
+
+
+def _retract(trail: list[int], avail: list[int], cut: int) -> None:
+    """Undo the trail's removals past its first cut entries."""
+    while len(trail) > cut:
+        gone = trail.pop()
+        avail[trail.pop()] |= gone
+
+
 def _solve_masks(
     nbrs: Sequence[Sequence[int]],
     k: int,
@@ -47,10 +128,37 @@ def _solve_masks(
     Colors at or above max(n, highest pin + 1) are dropped first: an unpinned
     vertex has fewer than n neighbors, so it never wipes out and takes its
     least free color, which is below n; no search ever tries a higher color.
-    ``why[c][u]`` is the position whose assignment removed color c from u's
-    mask.  Only removed colors, ``base[u] & ~avail[u]``, are ever read, so
-    undoing a prune restores the mask and leaves ``why`` alone.  A frame's
-    conflict set is built only on a wipe-out or when its colors run out.
+
+    ``why[c][u]`` explains the removal of color c from u's mask by the
+    positions whose assignments imply it: a forward check at position pos
+    stores pos, and the forced-color step stores ``~mask`` for a mask of
+    positions.  The sign tells them apart, and the forward check, the only
+    remover at k >= 4, stores a plain position.  ``_removers(u)`` is the
+    mask of the positions that explain u's removed colors.  Only removed
+    colors, ``base[u] & ~avail[u]``, are ever read, so undoing a prune
+    restores the mask and leaves ``why`` alone.  A frame's conflict set is
+    built only on a wipe-out or when its colors run out.
+
+    At k = 3 a try that survives its forward check runs the forced-color
+    step from the vertices it pruned, to a fixpoint:
+
+    * a vertex u left with one color removes it from its uncolored
+      neighbors, explained by ``_removers(u)``;
+    * two adjacent uncolored vertices u and w left with the same two colors
+      remove both from every common uncolored neighbor, explained by
+      ``_removers(u) | _removers(w)``.
+
+    An explanation holds the positions whose assignments alone imply the
+    removal, all at or below the current one, so a wipe-out's conflict set,
+    and with it every backjump target, stays exact.  Every color the step
+    removes is in no coloring that extends the current prefix, so the
+    search still meets the same first coloring, only sooner.  Each removal
+    is undone with the try that made it.
+
+    At k >= 4 the step is not run: a vertex needs k - 1 removals before the
+    first rule applies, and the second needs k - 2 of them on both ends of
+    an edge, so the rules seldom fire while the step still scans the
+    neighbors of every pruned vertex on every try.
     """
     fixed = fixed or {}
     n = len(nbrs)
@@ -69,21 +177,13 @@ def _solve_masks(
     color = [-1] * n
     avail = base[:]
     why = [[0] * n for _ in range(k)]  # color first, so a try binds one row
-
-    def removers(u: int) -> int:
-        """Bitmask of the positions that removed a color from u's mask."""
-        gone = base[u] & ~avail[u]
-        conf = 0
-        while gone:
-            c = (gone & -gone).bit_length() - 1
-            gone &= gone - 1
-            conf |= 1 << why[c][u]
-        return conf
+    trail: list[int] = []  # the forced-color step's removals, oldest first
 
     depth = len(order)
     cand = [0] * depth
     jump = [0] * depth  # conflicts from the frame's wipe-outs and from jumps back to it
     undo: list[tuple[int, list[int]]] = [(0, [])] * depth
+    kept = [0] * depth  # at k = 3, per frame: the trail's length before its try
     pos = 0
     cand[0] = avail[order[0]]
     while True:
@@ -104,8 +204,20 @@ def _solve_masks(
                     if avail[u] == 0:
                         wiped = u
                         break
+            if k == 3 and wiped < 0:
+                kept[pos] = len(trail)
+                color[v] = c  # colored, so the step never prunes v
+                wiped = _force(touched[:], nbrs, color, base, avail, why, trail)
+                if wiped >= 0:
+                    # the conflict first: the retract gives wiped its colors back
+                    jump[pos] |= _removers(wiped, base, avail, why) & ~(1 << pos)
+                    color[v] = -1
+                    _retract(trail, avail, kept[pos])
+                    for u in touched:
+                        avail[u] |= bit
+                    continue
             if wiped >= 0:
-                jump[pos] |= removers(wiped) & ~(1 << pos)
+                jump[pos] |= _removers(wiped, base, avail, why) & ~(1 << pos)
                 for u in touched:
                     avail[u] |= bit
                 continue
@@ -118,7 +230,7 @@ def _solve_masks(
             jump[pos] = 0
             continue
         # every color failed here; jump to the deepest conflicting position
-        conf = jump[pos] | removers(v)
+        conf = jump[pos] | _removers(v, base, avail, why)
         if conf == 0:
             return None
         target = conf.bit_length() - 1
@@ -128,6 +240,8 @@ def _solve_masks(
             for u in touched:
                 avail[u] |= qbit
             color[order[q]] = -1
+        if trail:
+            _retract(trail, avail, kept[target])
         pos = target
 
 

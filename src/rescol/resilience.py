@@ -58,14 +58,14 @@ class _CertificateStore:
     bit t of ``covers[e]`` is set when certificate t contains element e,
     ``complements[t]`` is the universe minus certificate t, and bit t of
     ``dead[s]`` is set when that complement has no element in group s or
-    later.  ``tail[s]`` holds the elements of groups s and later.
+    later.  An empty store is linear in the universe: one int per element
+    and per group, each of one bit per certificate.
     """
 
     def __init__(self, groups: int, choices: int):
         self.groups = groups
         self.choices = choices
         self.universe = (1 << groups * choices) - 1
-        self.tail = [self.universe >> s * choices << s * choices for s in range(groups + 1)]
         self.covers = [0] * (groups * choices)
         self.complements: list[int] = []
         self.dead = [0] * (groups + 1)
@@ -105,7 +105,8 @@ def _first_uncovered(
     a scan that visits every subset.
     """
     groups, choices = store.groups, store.choices
-    covers, complements, dead, tail = store.covers, store.complements, store.dead, store.tail
+    covers, complements, dead = store.covers, store.complements, store.dead
+    universe = store.universe
     total = comb(groups, size) * choices**size
     root = [0, (1 << len(complements)) - 1]
     if size == 0:
@@ -127,9 +128,10 @@ def _first_uncovered(
                     node[1] |= bit
 
     def last_pick(nodes: list[list[int]], start: int) -> int | None:
+        later = universe >> start * choices << start * choices  # groups start and on
         escapes = []
         for _, cover in nodes:
-            escape = tail[start]
+            escape = later
             while cover and escape:
                 # newest certificate first: on random 4-colorable graphs this
                 # ends the AND in about a fifth fewer steps than oldest first

@@ -15,9 +15,10 @@ from rescol.graphs import Graph, non_edges
 from rescol.sat import CnfFormula
 
 
-def random_graph(rng, max_n: int = 7, min_n: int = 1) -> Graph:
+def random_graph(rng, max_n: int = 7, min_n: int = 1, density: float | None = None) -> Graph:
     n = rng.randint(min_n, max_n)
-    density = rng.random()
+    if density is None:
+        density = rng.random()
     edges = frozenset(
         pair for pair in itertools.combinations(range(n), 2) if rng.random() < density
     )

@@ -337,6 +337,20 @@ def test_reduce_to_coloring_unwritable_graph_leaves_no_sidecar(tmp_path, monkeyp
     assert list(out_dir.iterdir()) == []
 
 
+def test_reduce_to_coloring_unwritable_sidecar_leaves_no_graph(tmp_path, monkeypatch, capsys):
+    """A sidecar that cannot be written exits 2 and removes the graph file
+    written just before it, so nothing but the error line is left."""
+    monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 6 1\n1 2 3 4 5 6 0\n"))
+    out = tmp_path / "out.col"
+    (tmp_path / "out.col.gadgets.json").mkdir()
+    rc = main(["reduce", "--kind", "to-coloring", "-o", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.col.gadgets.json"]
+
+
 def test_reduce_budget_env_must_be_integer(tmp_path, capsys, monkeypatch):
     path = write_cnf(tmp_path, CnfFormula.make(1, ((1,),)))
     for value, message in (("lots", "must be an integer"), ("-1", "must be >= 0")):

@@ -15,7 +15,7 @@ from rescol.coloring import (
     validate_coloring,
 )
 from rescol.graphs import Graph, classic, complete_graph, complete_plus_isolated
-from rescol.reductions import three_sat_to_coloring
+from rescol.reductions import six_cnf_to_graph, three_sat_to_coloring
 from rescol.sat import CnfFormula, is_satisfiable
 
 
@@ -56,7 +56,8 @@ def test_agrees_with_brute_force():
 
 
 def test_solver_matches_plain_backtracking_reference():
-    """Backjumping must not change the coloring found, only the work done."""
+    """Backjumping and the forced-color step must not change the coloring
+    found, only the work done."""
 
     def reference(g, k, fixed=None):
         color = [-1] * g.n
@@ -120,6 +121,32 @@ def test_solver_matches_plain_backtracking_reference():
             fixed = {rng.randrange(g.n): rng.randrange(k)}
         assert extend_coloring(g, k, fixed or {}) == reference(g, k, fixed)
 
+    # k = 3 on graphs with triangles, where the forced-color step's pair
+    # rule fires, with up to three pins
+    rng = random.Random(14)
+    tested = 0
+    while tested < 400:
+        g = random_graph(rng, max_n=12, min_n=8, density=rng.uniform(0.3, 0.5))
+        if not any(set(g.neighbors[u]) & set(g.neighbors[v]) for u, v in g.edges):
+            continue
+        fixed = {v: rng.randrange(3) for v in rng.sample(range(g.n), rng.randint(0, 3))}
+        assert extend_coloring(g, 3, fixed) == reference(g, 3, fixed or None)
+        tested += 1
+
+    # gadget graphs of one or two random 6-clauses, 39-57 vertices, where
+    # wipe-outs inside the forced-color step and the backjumps they cause
+    # are common
+    rng = random.Random(15)
+    for _ in range(60):
+        num_vars = rng.randint(1, 3)
+        clauses = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, num_vars) for _ in range(6))
+            for _ in range(rng.randint(1, 2))
+        ]
+        g = six_cnf_to_graph(CnfFormula.make(num_vars, clauses)).graph
+        fixed = {v: rng.randrange(3) for v in rng.sample(range(g.n), rng.randint(0, 3))}
+        assert extend_coloring(g, 3, fixed) == reference(g, 3, fixed or None)
+
 
 def planted_3cnf(seed: int, num_vars: int, num_clauses: int, min_true: int) -> CnfFormula:
     """Clauses over three distinct variables, each with at least min_true
@@ -136,25 +163,69 @@ def planted_3cnf(seed: int, num_vars: int, num_clauses: int, min_true: int) -> C
     return CnfFormula.make(num_vars, clauses)
 
 
-@pytest.mark.parametrize(
-    "min_true, digest",
+# one planted-true literal per clause over 8 variables, whose first
+# 3-coloring took 2.87M color tries and 1.66M backjumps before the
+# forced-color step
+TAIL_8_14 = CnfFormula.make(
+    8,
     [
-        # easy: two planted-true literals per clause
-        (2, "51b9f43ee3d0784ada8b0421ee4ac215d922dc1e163582c61d469c6240547ff0"),
-        # a tail: one planted-true literal per clause; about 165k color tries
-        # and 97k backjumps
-        (1, "99a7b016146d04058e5068d3b2d55d5cae24d7b79675a9c2475ab30ff08d4496"),
+        tuple(int(lit) for lit in clause.split())
+        for clause in (
+            "-7 4 -2 / 6 -8 1 / -5 -6 3 / -2 1 6 / -6 -1 -3 / -4 -7 1 / 5 6 4 / "
+            "-5 4 8 / 3 8 -5 / -5 1 4 / -1 -6 -4 / 8 -2 -5 / 8 6 -3 / 2 5 6"
+        ).split("/")
     ],
-    ids=["two-planted", "one-planted-tail"],
 )
-def test_gadget_graph_coloring_is_frozen(min_true, digest):
-    """Past the plain reference's reach: the first 3-coloring of a
-    2,753-vertex gadget graph, frozen as the SHA-256 of its bytes."""
-    g = three_sat_to_coloring(planted_3cnf(0, 8, 12, min_true)).graph
-    assert (g.n, len(g.edges)) == (2753, 5040)
+
+
+@pytest.mark.parametrize(
+    "phi, size, digest",
+    [
+        # easy: two planted-true literals per clause; 2,753 color tries, one
+        # per vertex, and no backjumps
+        (
+            planted_3cnf(0, 8, 12, 2),
+            (2753, 5040),
+            "51b9f43ee3d0784ada8b0421ee4ac215d922dc1e163582c61d469c6240547ff0",
+        ),
+        # one planted-true literal per clause; 2,866 color tries and 15
+        # backjumps
+        (
+            planted_3cnf(0, 8, 12, 1),
+            (2753, 5040),
+            "99a7b016146d04058e5068d3b2d55d5cae24d7b79675a9c2475ab30ff08d4496",
+        ),
+        # 4,209 color tries and 96 backjumps
+        (
+            TAIL_8_14,
+            (3689, 6756),
+            "bad7d964f135fb1290096564cd601656d033753914340d2b0fe58e2a769d0a4a",
+        ),
+    ],
+    ids=["two-planted", "one-planted-tail", "one-planted-8-14"],
+)
+def test_gadget_graph_coloring_is_frozen(phi, size, digest):
+    """Past the plain reference's reach: the first 3-coloring of a gadget
+    graph of thousands of vertices, frozen as the SHA-256 of its bytes."""
+    g = three_sat_to_coloring(phi).graph
+    assert (g.n, len(g.edges)) == size
     colors = is_k_colorable(g, 3)
     assert validate_coloring(g, colors, 3)
     assert hashlib.sha256(bytes(colors)).hexdigest() == digest
+
+
+def test_one_planted_gadget_colorings_are_frozen():
+    """The first 3-colorings of ten one-planted 2,753-vertex gadget graphs,
+    frozen together as one SHA-256.  Seven color without backtracking; the
+    other three make 15, 7 and 383 backjumps, and an explanation left short
+    by one vertex's removers jumps past their first coloring."""
+    digest = hashlib.sha256()
+    for seed in range(1, 11):
+        g = three_sat_to_coloring(planted_3cnf(seed, 8, 12, 1)).graph
+        colors = is_k_colorable(g, 3)
+        assert validate_coloring(g, colors, 3)
+        digest.update(bytes(colors))
+    assert digest.hexdigest() == "12aff2c3d99b55386337dd4819e7f2f8e144b62d54451101df1e7dce583b4d6f"
 
 
 def test_extend_coloring_agrees_with_coloring_cnf():

@@ -1,6 +1,7 @@
 """Edge-addition resilience: verdicts, witnesses, maxima, solver-call pins."""
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -290,6 +291,18 @@ def test_certificate_store_keeps_every_certificate():
     assert len(store.complements) == 200
     assert resilience._first_uncovered(store, 1, solve) == (None, 200)
     assert calls == 200
+
+
+def test_certificate_store_is_linear_in_the_universe():
+    """A store over 20,000 groups keeps nothing quadratic: no mask of the
+    later groups per group."""
+    tracemalloc.start()
+    try:
+        resilience._CertificateStore(20_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_scan_matches_plain_reference_scan(monkeypatch):

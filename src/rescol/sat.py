@@ -9,8 +9,12 @@ There is one solver: an incremental DPLL built once per formula, which
 answers each restriction as a set of assumed literals and undoes them
 afterwards.  Its one trail records every assignment, and each clause is
 watched through its first two slots (the MiniSat layout).  Decisions follow
-a phase that the caller may pass, False by default, so ``is_satisfiable``
-returns the least model.  Resilience scans keep every model found so far and
+a phase that the caller may pass, False by default.  ``is_satisfiable``
+first resolves away the top variables that occur in at most one clause of
+each polarity (Davis–Putnam elimination, which never grows the formula;
+the switch variables of ``hardness_chain``'s shrink rounds are such), runs
+the solver on the remaining core, and extends its least model to phi's
+least model.  Resilience scans keep every model found so far and
 run the lex-prefix search of ``rescol.resilience`` over variable prefixes,
 so a restriction that agrees with a kept model is survived without a solve,
 and without being visited.  Such hits can never flip a verdict, because the
@@ -320,17 +324,90 @@ class _Solver:
             self._undo(self.base)
 
 
+def _eliminate_top(phi: CnfFormula) -> tuple[CnfFormula, list[tuple[int, Clause | None]]]:
+    """Davis–Putnam resolution of the top variables that occur in at most
+    one clause of each polarity.
+
+    t is the smallest cut such that every variable above t has that
+    property; variables n down to t + 1 are eliminated in turn.  A variable
+    with one positive and one negative clause replaces them by their
+    resolvent, and one that is pure, or occurs only in one clause that
+    holds both its literals, drops its clause.  A resolvent never puts a
+    literal in more clauses than before, so every variable above t keeps
+    the property until its turn.  Returns the core over variables 1..t and
+    the eliminated variables in elimination order, each with the clause
+    that held its positive literal then (None when there was none, or when
+    that clause also held the negative one).  An empty resolvent stays in
+    the core as its refutation.  When nothing above t exists, the core is
+    phi itself.
+    """
+    n = phi.num_vars
+    clauses: list[Clause | None] = list(phi.clauses)
+    # where[lit] is the index of the one clause holding lit, for |lit| > t;
+    # negative literals index from the end of this 2n+1 list
+    where: list[int | None] = [None] * (2 * n + 1)
+    t = 0
+    for j, cl in enumerate(clauses):
+        for lit in cl:
+            held = where[lit]
+            if held is None:
+                where[lit] = j
+            elif held != j and abs(lit) > t:
+                t = abs(lit)
+    if t == n:
+        return phi, []
+    eliminated: list[tuple[int, Clause | None]] = []
+    for v in range(n, t, -1):
+        pos, neg = where[v], where[-v]
+        if pos is not None and neg is not None and pos != neg:
+            left, right = clauses[pos], clauses[neg]
+            # the resolvent takes the positive clause's slot, so only the
+            # negative clause's literals move; entries of variables at or
+            # below t, and of v itself, are never read again
+            resolvent = [lit for lit in left if lit != v]
+            resolvent += [lit for lit in right if lit != -v]
+            clauses[pos] = tuple(resolvent)
+            clauses[neg] = None
+            for lit in right:
+                where[lit] = pos
+            eliminated.append((v, left))
+        else:
+            # pure, absent, or both literals in one clause, which v satisfies
+            # either way: drop what holds v
+            eliminated.append((v, clauses[pos] if pos is not None and neg is None else None))
+            for held in {pos, neg} - {None}:
+                for lit in clauses[held]:
+                    where[lit] = None
+                clauses[held] = None
+    core = tuple(cl for cl in clauses if cl is not None)
+    return CnfFormula(t, core), eliminated
+
+
 def is_satisfiable(phi: CnfFormula) -> Assignment | None:
     """Return the least model, variable 1 most significant and False before
     True, or None when the formula is unsatisfiable.
 
-    Runs the same incremental solver as the resilience scans, with no
-    assumptions.
+    The top variables that occur in at most one clause of each polarity
+    are first resolved away (``_eliminate_top``).  The core's models are
+    exactly the projections of phi's, and every eliminated variable ranks
+    below every kept one, so the solver's least model of the core, with
+    each eliminated variable then set in reverse elimination order to
+    False unless the clause that held its positive literal is not yet
+    satisfied, is phi's least model.
     """
-    model = _Solver(phi).solve()
+    core, eliminated = _eliminate_top(phi)
+    model = _Solver(core).solve()
     if model is None:
         return None
-    return dict(enumerate(model, start=1))
+    # holds[lit] tells whether literal lit is true; v is still unassigned
+    # while its positive clause is read, which never holds -v
+    holds = [False] * (2 * phi.num_vars + 1)
+    for v, value in enumerate(model, start=1):
+        holds[v if value else -v] = True
+    for v, positive in reversed(eliminated):
+        value = positive is not None and not any(holds[lit] for lit in positive)
+        holds[v if value else -v] = True
+    return {v: holds[v] for v in range(1, phi.num_vars + 1)}
 
 
 def _is_tautology(clause: Clause) -> bool:

@@ -181,11 +181,18 @@ def test_hardness_chain_output_width():
 
 
 def test_hardness_chain_maps_unsat_to_unsat():
-    # r = 2 only: the reduction scales fine, but refuting the blown-up
-    # output with a plain DPLL solver grows exponentially in r
+    # the output grows exponentially in r: m^(r+1) blow-up clauses, each
+    # split by every shrink round.  is_satisfiable resolves the shrink
+    # rounds' switch variables away and refutes only the blow-up, so the
+    # r = 3 chain of the 3-variable contradiction (32,768 clauses) takes
+    # well under a second; without the elimination its DPLL took seconds
     phi = CnfFormula.make(1, [(1, 1, 1), (-1, -1, -1)])
     out = hardness_chain(2, phi)
     assert out.width == 3
+    assert is_satisfiable(out) is None
+    contradiction = CnfFormula.make(3, itertools.product((1, -1), (2, -2), (3, -3)))
+    out = hardness_chain(3, contradiction)
+    assert (out.width, len(out.clauses)) == (4, 32_768)
     assert is_satisfiable(out) is None
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -13,6 +14,7 @@ from conftest import (
     oracle_sat_first_failure,
     random_cnf,
     reference_first_uncovered,
+    sat_table,
 )
 from rescol import sat
 from rescol.graphs import ParseError
@@ -524,6 +526,137 @@ def test_solver_follows_phase():
             )
             seen["unsat"] += expected is None
             assert solver.solve(assumptions, phase) == expected
+    assert min(seen.values()) > 0, seen
+
+
+def top_heavy_cnf(rng):
+    """A random formula over low + top variables where each top variable
+    goes into at most one clause of each polarity: an existing clause (so
+    clauses mix top variables and resolvents chain), or a new one with up to
+    two literals of lower variables.  Now and then a literal is doubled in
+    its clause, or put into a second clause, which keeps its variable in the
+    core.  Returns the formula and its number of low variables."""
+    low = rng.randint(1, 5)
+    n = low + rng.randint(0, 5)
+    clauses = [
+        [rng.choice((1, -1)) * rng.randint(1, low) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 6))
+    ]
+    for v in range(low + 1, n + 1):
+        for lit in (v, -v):
+            roll = rng.random()
+            if roll < 0.25:
+                continue
+            if roll < 0.6 and clauses:
+                held = rng.choice(clauses)
+                held.insert(rng.randint(0, len(held)), lit)
+            else:
+                held = [rng.choice((1, -1)) * rng.randint(1, v - 1) for _ in range(rng.randint(0, 2))]
+                held.insert(rng.randint(0, len(held)), lit)
+                clauses.append(held)
+            if rng.random() < 0.1:
+                held.append(lit)
+            if rng.random() < 0.05:
+                rng.choice(clauses).append(lit)
+    rng.shuffle(clauses)
+    return CnfFormula(n, tuple(map(tuple, clauses))), low
+
+
+def least_model(phi):
+    """The least model by a truth table, variable 1 most significant and
+    False before True, or None."""
+    ok = sat_table(phi)
+    if not ok.any():
+        return None
+    n = phi.num_vars
+    idx = np.flatnonzero(ok)
+    keys = sum(((idx >> (v - 1)) & 1) << (n - v) for v in range(1, n + 1))
+    best = int(idx[np.argmin(keys)])
+    return {v: bool(best >> (v - 1) & 1) for v in range(1, n + 1)}
+
+
+def test_eliminate_top_keeps_the_least_model():
+    """Resolving the top variables away changes no answer of
+    is_satisfiable: on random formulas built so their top variables occur in
+    at most one clause of each polarity it returns the least model found by
+    a truth table, and the model of the plain solver on the whole formula."""
+    rng = random.Random(34)
+    seen = {
+        "pure": 0,
+        "tautology": 0,
+        "duplicate": 0,
+        "empty resolvent": 0,
+        "chained": 0,
+        "kept top": 0,
+    }
+    eliminating = 0
+    for _ in range(5000):
+        phi, low = top_heavy_cnf(rng)
+        core, eliminated = sat._eliminate_top(phi)
+        t = core.num_vars
+        assert [v for v, _ in eliminated] == list(range(phi.num_vars, t, -1))
+        eliminating += t < phi.num_vars
+        top = [cl for cl in phi.clauses if any(abs(lit) > t for lit in cl)]
+        lits = {lit for cl in phi.clauses for lit in cl}
+        seen["pure"] += any((v in lits) != (-v in lits) for v in range(t + 1, phi.num_vars + 1))
+        seen["tautology"] += any(lit > t and -lit in cl for cl in top for lit in cl)
+        seen["duplicate"] += any(abs(lit) > t and cl.count(lit) > 1 for cl in top for lit in cl)
+        seen["empty resolvent"] += () in core.clauses
+        # a clause holding two top variables: one's resolvent is the other's clause
+        seen["chained"] += any(len({abs(lit) for lit in cl} - set(range(t + 1))) > 1 for cl in top)
+        # a top variable put into a second clause of one polarity stays in the core
+        seen["kept top"] += t > low
+        expected = least_model(phi)
+        model = sat._Solver(phi).solve()
+        assert expected == (None if model is None else dict(enumerate(model, start=1)))
+        assert is_satisfiable(phi) == expected
+    assert eliminating > 2500, eliminating
+    assert min(seen.values()) > 0, seen
+
+
+def test_eliminate_top_core_sizes():
+    """On chain outputs every shrink-round switch variable is resolved away,
+    leaving the blow-up over 3 * (input variables after the exact 3-CNF
+    rewrite); a formula whose top variable occurs in two clauses of one
+    polarity comes back unchanged."""
+    contradiction = CnfFormula.make(3, itertools.product((1, -1), (2, -2), (3, -3)))
+    core, eliminated = sat._eliminate_top(hardness_chain(2, contradiction))
+    assert (core.num_vars, len(core.clauses), len(eliminated)) == (9, 512, 3584)
+    core, eliminated = sat._eliminate_top(hardness_chain(2, CnfFormula.make(1, [(1,), (-1,)])))
+    assert (core.num_vars, len(core.clauses), len(eliminated)) == (15, 512, 3584)
+    phi = CnfFormula.make(3, [(1, 3), (2, 3), (-3,)])
+    core, eliminated = sat._eliminate_top(phi)
+    assert core is phi and eliminated == []
+
+
+def test_eliminate_top_on_chain_outputs():
+    """is_satisfiable agrees with the plain solver on hardness_chain(2, .)
+    outputs of satisfiable and unsatisfiable 1-4-variable inputs: a random
+    nonempty set of the sign patterns over min(n, 3) of the variables, all
+    of them (unsatisfiable) half of the time."""
+    rng = random.Random(35)
+    seen = {"sat": 0, "unsat": 0}
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        chosen = rng.sample(range(1, n + 1), min(n, 3))
+        patterns = [
+            [s * v for s, v in zip(signs, chosen)]
+            for signs in itertools.product((1, -1), repeat=len(chosen))
+        ]
+        if rng.random() < 0.5:
+            patterns = rng.sample(patterns, rng.randint(1, len(patterns) - 1))
+        phi = CnfFormula.make(n, [rng.sample(p, len(p)) for p in patterns])
+        out = hardness_chain(2, phi)
+        expected = None
+        # the plain solver takes 0.3-3 s to refute the chain of an
+        # unsatisfiable input of other than 3 variables; the chain lemma
+        # (test_hardness_chain_maps_unsat_to_unsat) makes None the answer
+        if brute_satisfiable(phi) or n == 3:
+            model = sat._Solver(out).solve()
+            expected = None if model is None else dict(enumerate(model, start=1))
+            assert (expected is not None) == brute_satisfiable(phi)
+        assert is_satisfiable(out) == expected
+        seen["sat" if expected else "unsat"] += 1
     assert min(seen.values()) > 0, seen
 
 

@@ -9,9 +9,14 @@ reports, stderr for ``reduce``, and none when the output is an artifact
 (``classics NAME``) or the run fails with exit 2 or 3.  Exit
 codes: 0 for a positive verdict or successful output, 1 for a negative
 verdict, 2 for an InputError (bad arguments or input text; a ParseError is
-one) or an unreadable file, 3 for an exceeded size budget.  The library
-checks its own arguments; any other ValueError is an internal error and is
-raised, not reported as exit 2.
+one), an unreadable file or an output stream that cannot be written, 3 for
+an exceeded size budget; exits 2 and 3 write one ``error:`` line on
+stderr.  ``main`` writes the ``#`` line and flushes stdout inside its error
+boundary, so a reader that closes stdout early (``rescol classics | head
+-1``) gives exit 2 under any buffering, and stdout is then pointed at the
+null device so the interpreter's own flush at exit stays silent.  The
+library checks its own arguments; any other ValueError is an internal
+error and is raised, not reported as exit 2.
 
 Graph witnesses are printed as comma-separated ``u-v`` pairs, 1-indexed to
 match DIMACS files; formula witnesses as comma-separated ``x<var>=<0|1>``
@@ -280,14 +285,22 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code, report = args.func(args)
+        if report is not None:
+            print(f"# wall_time_s={time.perf_counter() - started:.3f}", file=report)
+        # a reader that left shows up here, not in the shutdown flush
+        sys.stdout.flush()
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InputError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # send what stdout still holds nowhere, so the shutdown flush
+            # adds no second report of the closed pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if report is not None:
-        print(f"# wall_time_s={time.perf_counter() - started:.3f}", file=report)
     return code
 
 

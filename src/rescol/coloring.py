@@ -11,7 +11,10 @@ degree.  Pruning is forward checking on per-vertex masks of still-available
 colors plus conflict-directed backjumping (Prosser's FC-CBJ): every removed
 color records the positions whose assignments removed it, so a dead end
 jumps straight back to the deepest assignment actually involved instead of
-stepping through unrelated vertices.
+stepping through unrelated vertices.  Every removal goes on one trail, and
+each frame marks the trail's length before its try (MiniSat's
+``trail_lim``, as in ``sat._Solver``), so undoing back to any frame is one
+retract to its mark.
 
 At k = 3 each forward check is followed by a forced-color step run to a
 fixpoint, a cheap form of maintaining consistency during search (Sabin &
@@ -152,8 +155,15 @@ def _solve_masks(
     removal, all at or below the current one, so a wipe-out's conflict set,
     and with it every backjump target, stays exact.  Every color the step
     removes is in no coloring that extends the current prefix, so the
-    search still meets the same first coloring, only sooner.  Each removal
-    is undone with the try that made it.
+    search still meets the same first coloring, only sooner.
+
+    Every removal, forward check and forced-color step alike, goes on one
+    ``trail`` as two entries, vertex then colors, and ``marks[pos]`` is the
+    trail's length before the try at pos.  A wipe-out takes its conflict,
+    uncolors the vertex and retracts to its frame's mark; a backjump to
+    target uncolors frames target..pos-1 and retracts to ``marks[target]``.
+    The forced-color step starts from this try's prunes, the vertices on
+    the trail past the mark.
 
     At k >= 4 the step is not run: a vertex needs k - 1 removals before the
     first rule applies, and the second needs k - 2 of them on both ends of
@@ -177,13 +187,12 @@ def _solve_masks(
     color = [-1] * n
     avail = base[:]
     why = [[0] * n for _ in range(k)]  # color first, so a try binds one row
-    trail: list[int] = []  # the forced-color step's removals, oldest first
+    trail: list[int] = []  # every removal as vertex then colors, oldest first
 
     depth = len(order)
     cand = [0] * depth
     jump = [0] * depth  # conflicts from the frame's wipe-outs and from jumps back to it
-    undo: list[tuple[int, list[int]]] = [(0, [])] * depth
-    kept = [0] * depth  # at k = 3, per frame: the trail's length before its try
+    marks = [0] * depth  # per frame: the trail's length before its try
     pos = 0
     cand[0] = avail[order[0]]
     while True:
@@ -194,35 +203,25 @@ def _solve_masks(
             cand[pos] = m & (m - 1)
             bit = 1 << c
             removed_by = why[c]
-            touched = []
+            cut = marks[pos] = len(trail)
             wiped = -1
             for u in nbrs[v]:
                 if color[u] == -1 and avail[u] & bit:
-                    avail[u] &= ~bit
+                    avail[u] ^= bit
                     removed_by[u] = pos
-                    touched.append(u)
+                    trail += u, bit
                     if avail[u] == 0:
                         wiped = u
                         break
+            color[v] = c  # colored, so the forced-color step never prunes v
             if k == 3 and wiped < 0:
-                kept[pos] = len(trail)
-                color[v] = c  # colored, so the step never prunes v
-                wiped = _force(touched[:], nbrs, color, base, avail, why, trail)
-                if wiped >= 0:
-                    # the conflict first: the retract gives wiped its colors back
-                    jump[pos] |= _removers(wiped, base, avail, why) & ~(1 << pos)
-                    color[v] = -1
-                    _retract(trail, avail, kept[pos])
-                    for u in touched:
-                        avail[u] |= bit
-                    continue
+                wiped = _force(trail[cut::2], nbrs, color, base, avail, why, trail)
             if wiped >= 0:
+                # the conflict first: the retract gives wiped its colors back
                 jump[pos] |= _removers(wiped, base, avail, why) & ~(1 << pos)
-                for u in touched:
-                    avail[u] |= bit
+                color[v] = -1
+                _retract(trail, avail, cut)
                 continue
-            color[v] = c
-            undo[pos] = (bit, touched)
             pos += 1
             if pos == depth:
                 return tuple(color)
@@ -235,13 +234,9 @@ def _solve_masks(
             return None
         target = conf.bit_length() - 1
         jump[target] |= conf ^ (1 << target)
-        for q in range(pos - 1, target - 1, -1):
-            qbit, touched = undo[q]
-            for u in touched:
-                avail[u] |= qbit
+        for q in range(target, pos):
             color[order[q]] = -1
-        if trail:
-            _retract(trail, avail, kept[target])
+        _retract(trail, avail, marks[target])
         pos = target
 
 

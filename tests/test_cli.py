@@ -1,15 +1,21 @@
 """End-to-end checks of the command line surface.
 
-Every test drives ``main(argv)`` in process and inspects the key=value
-report, the artifact stream, and the exit code.  Lines starting with '#'
-are commentary (wall time) and are excluded whenever two reports are
-compared.  The error-boundary tests at the end also call the library
-directly: exit 2 is for InputError, and every other ValueError is raised.
+Every test but one drives ``main(argv)`` in process and inspects the
+key=value report, the artifact stream, and the exit code; the one runs the
+module with its stdout pipe closed.  Lines starting with '#' are
+commentary (wall time) and are excluded whenever two reports are compared.
+The error-boundary tests at the end also call the library directly: exit 2
+is for InputError, and every other ValueError is raised.
 """
 
+import errno
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -494,6 +500,77 @@ def test_wall_time_commentary(tmp_path, monkeypatch, capsys, argv, stdin, code, 
             assert re.fullmatch(r"# wall_time_s=\d+\.\d{3}", comments[0])
         else:
             assert comments == []
+
+
+class _ReaderLeaves(io.StringIO):
+    """A stdout over the descriptor fd whose reader closes the pipe once
+    `lines` lines have been written."""
+
+    def __init__(self, lines, fd):
+        super().__init__()
+        self.lines = lines
+        self.fd = fd
+
+    def write(self, text):
+        if self.getvalue().count("\n") >= self.lines:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(text)
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, lines",
+    [
+        (["classics"], "", 7),
+        (["classics"], "", 2),
+        (["verify-gadgets"], "", 4),
+        (["color", "--k", "3"], PETERSEN, 6),
+        (["classics", "petersen"], "", 0),
+    ],
+    ids=["classics", "classics-mid-report", "verify-gadgets", "color", "classics-petersen"],
+)
+def test_closed_report_stream_exits_two(tmp_path, monkeypatch, capsys, argv, stdin, lines):
+    """A reader that leaves after the report lines, before the wall-time
+    line or the final flush, is an OSError like any other: exit 2 with one
+    error line, and stdout is pointed at the null device so the
+    interpreter's shutdown flush cannot fail again."""
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        out = _ReaderLeaves(lines, fd)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdout", out)
+        rc = main(argv)
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert rc == 2
+    assert len(out.getvalue().splitlines()) == lines
+    assert capsys.readouterr().err == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_pipe_closed_before_the_report_exits_two(unbuffered):
+    """The console entry point with its stdout pipe closed before it writes:
+    with block buffering the failure surfaced only in the shutdown flush
+    (exit 120, 'Exception ignored'), so main flushes inside its error
+    boundary."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rescol.cli", "classics"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"]
 
 
 def test_missing_file_is_a_usage_error(capsys):

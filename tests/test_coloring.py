@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from conftest import brute_colorable, random_graph
+from rescol import coloring
 from rescol.coloring import (
     DegreeWitness,
     chromatic_number,
@@ -121,6 +122,15 @@ def test_solver_matches_plain_backtracking_reference():
             fixed = {rng.randrange(g.n): rng.randrange(k)}
         assert extend_coloring(g, k, fixed or {}) == reference(g, k, fixed)
 
+    # k = 4 and 5 on denser graphs of 10-14 vertices, with up to three pins,
+    # where backjumps over more than one frame are common
+    rng = random.Random(13)
+    for _ in range(200):
+        g = random_graph(rng, max_n=14, min_n=10, density=rng.uniform(0.4, 0.8))
+        k = rng.randint(4, 5)
+        fixed = {v: rng.randrange(k) for v in rng.sample(range(g.n), rng.randint(0, 3))}
+        assert extend_coloring(g, k, fixed) == reference(g, k, fixed or None)
+
     # k = 3 on graphs with triangles, where the forced-color step's pair
     # rule fires, with up to three pins
     rng = random.Random(14)
@@ -226,6 +236,29 @@ def test_one_planted_gadget_colorings_are_frozen():
         assert validate_coloring(g, colors, 3)
         digest.update(bytes(colors))
     assert digest.hexdigest() == "12aff2c3d99b55386337dd4819e7f2f8e144b62d54451101df1e7dce583b4d6f"
+
+
+def test_forced_color_step_starts_from_the_try(monkeypatch):
+    """The forced-color step is seeded with the vertices that the try's own
+    forward check pruned: uncolored neighbors of the vertex just colored,
+    each once.  Seeding it from the whole trail finds the same colorings
+    at a higher cost, so only the queue shows it."""
+    queues = []
+    force = coloring._force
+
+    def spy(queue, nbrs, color, *rest):
+        common = set.intersection(*(set(nbrs[u]) for u in queue)) if queue else set()
+        queues.append(
+            len(set(queue)) == len(queue)
+            and all(color[u] == -1 for u in queue)
+            and (not queue or any(color[w] != -1 for w in common))
+        )
+        return force(queue, nbrs, color, *rest)
+
+    monkeypatch.setattr(coloring, "_force", spy)
+    assert is_k_colorable(classic("grotzsch"), 3) is None
+    assert is_k_colorable(three_sat_to_coloring(planted_3cnf(0, 8, 12, 1)).graph, 3)
+    assert len(queues) > 100 and all(queues)
 
 
 def test_extend_coloring_agrees_with_coloring_cnf():

@@ -3,20 +3,24 @@
 Reports are line-oriented ``key=value`` records; lines starting with ``#``
 carry commentary such as wall-clock time and are not part of the stable
 record, so two runs of one command print the same stable lines.  Each
-command returns its exit code and its report stream; ``main`` alone writes
-the ``#`` lines, after the command returns, on that stream: stdout for the
-reports, stderr for ``reduce``, and none when the output is an artifact
-(``classics NAME``) or the run fails with exit 2 or 3.  Exit
-codes: 0 for a positive verdict or successful output, 1 for a negative
-verdict, 2 for an InputError (bad arguments or input text; a ParseError is
-one), an unreadable file or an output stream that cannot be written, 3 for
-an exceeded size budget; exits 2 and 3 write one ``error:`` line on
-stderr.  ``main`` writes the ``#`` line and flushes stdout inside its error
-boundary, so a reader that closes stdout early (``rescol classics | head
--1``) gives exit 2 under any buffering, and stdout is then pointed at the
-null device so the interpreter's own flush at exit stays silent.  The
-library checks its own arguments; any other ValueError is an internal
-error and is raised, not reported as exit 2.
+command returns its exit code, its report stream (stdout, stderr for
+``reduce``, none when the output is an artifact: ``classics NAME``) and its
+report as ``(key, value)`` pairs; commands write only their artifacts.
+``main`` alone writes every report, after the command returns: it formats
+the values, writes the pairs and the ``#`` line, and flushes stdout and
+stderr inside its error boundary.  Exit codes: 0 for a positive verdict or
+successful output, 1 for a negative verdict, 2 for an InputError (bad
+arguments or input text; a ParseError is one), an unreadable file or an
+output stream that cannot be written, 3 for an exceeded size budget.  An
+exit of 2 or 3 leaves only one ``error:`` line on stderr: a command that
+fails part-way has written nothing of its report.  An unwritable stdout or
+stderr (a pipe whose reader left, a closed descriptor) never changes the
+exit code: a failed run still exits 2 or 3 when its ``error:`` line cannot
+be written, and a report that cannot be written exits 2.  Such a stream is
+pointed at the null device, so the interpreter's flush at exit stays
+silent; a descriptor closed before start-up, which leaves its stream None,
+gets the null device too.  The library checks its own arguments; any other
+ValueError is an internal error and is raised, not reported as exit 2.
 
 Graph witnesses are printed as comma-separated ``u-v`` pairs, 1-indexed to
 match DIMACS files; formula witnesses as comma-separated ``x<var>=<0|1>``
@@ -33,9 +37,8 @@ import time
 from typing import TextIO
 
 from .coloring import chromatic_number, is_k_colorable
-from .graphs import InputError, classic, parse_graph, serialize_graph
+from .graphs import BudgetExceededError, InputError, classic, parse_graph, serialize_graph
 from .reductions import (
-    BudgetExceededError,
     blow_up,
     hardness_chain,
     provenance_json,
@@ -67,12 +70,6 @@ def _read_text(path: str | None) -> str:
         raise InputError(f"{path or 'stdin'} is not UTF-8 text: {exc}") from None
 
 
-def _emit(out: TextIO, key: str, value) -> None:
-    if isinstance(value, bool):
-        value = "true" if value else "false"
-    print(f"{key}={value}", file=out)
-
-
 def _edge_witness(pairs: tuple[tuple[int, int], ...]) -> str:
     return ",".join(f"{u + 1}-{v + 1}" for u, v in pairs)
 
@@ -94,58 +91,50 @@ def _budget() -> int | None:
     return value
 
 
-def _cmd_color(args) -> tuple[int, TextIO | None]:
+def _cmd_color(args) -> tuple[int, TextIO | None, list]:
     g = parse_graph(_read_text(args.file))
     colors = is_k_colorable(g, args.k)
-    out = sys.stdout
-    _emit(out, "command", "color")
-    _emit(out, "k", args.k)
-    _emit(out, "n", g.n)
-    _emit(out, "edges", len(g.edges))
-    _emit(out, "colorable", colors is not None)
+    report = [("command", "color"), ("k", args.k), ("n", g.n), ("edges", len(g.edges))]
+    report.append(("colorable", colors is not None))
     if colors is not None:
-        _emit(out, "coloring", ",".join(map(str, colors)))
-    return (0 if colors is not None else 1), out
+        report.append(("coloring", ",".join(map(str, colors))))
+    return (0 if colors is not None else 1), sys.stdout, report
 
 
-def _cmd_resilience(args) -> tuple[int, TextIO | None]:
-    out = sys.stdout
+def _cmd_resilience(args) -> tuple[int, TextIO | None, list]:
     if args.mode == "graph":
         if args.k is None:
             raise InputError("graph mode requires --k")
         g = parse_graph(_read_text(args.file))
-        sizes = (("k", args.k), ("n", g.n), ("edges", len(g.edges)))
+        sizes = [("k", args.k), ("n", g.n), ("edges", len(g.edges))]
         verdict = is_r_resiliently_k_colorable(g, args.r, args.k)
         counter = ("subsets_checked", verdict.subsets_checked)
         witness = None if verdict.witness is None else _edge_witness(verdict.witness)
     else:
         phi = parse_cnf(_read_text(args.file))
-        sizes = (("num_vars", phi.num_vars), ("clauses", len(phi.clauses)))
+        sizes = [("num_vars", phi.num_vars), ("clauses", len(phi.clauses))]
         verdict = is_r_resilient(phi, args.r)
         counter = ("restrictions_checked", verdict.restrictions_checked)
         witness = None if verdict.witness is None else _fixes_witness(verdict.witness.fixes)
-    for key, value in (("command", "resilience"), ("mode", args.mode), ("r", args.r)) + sizes:
-        _emit(out, key, value)
+    report = [("command", "resilience"), ("mode", args.mode), ("r", args.r)] + sizes
     if verdict.r < args.r:
         # fewer candidates than r: the check saturates at the full set
-        _emit(out, "effective_r", verdict.r)
+        report.append(("effective_r", verdict.r))
         # in graph mode every non-edge was added, so surviving means K_n is k-colorable
         if args.mode == "graph" and verdict.resilient:
-            _emit(out, "saturated", True)
-    _emit(out, "resilient", verdict.resilient)
+            report.append(("saturated", True))
+    report.append(("resilient", verdict.resilient))
     if witness is not None:
-        _emit(out, "witness", witness)
-    _emit(out, *counter)
-    return (0 if verdict.resilient else 1), out
+        report.append(("witness", witness))
+    report.append(counter)
+    return (0 if verdict.resilient else 1), sys.stdout, report
 
 
-def _cmd_reduce(args) -> tuple[int, TextIO | None]:
-    # the report is written only after every check and write has passed, so
-    # an exit of 2 or 3 leaves just the error line
+def _cmd_reduce(args) -> tuple[int, TextIO | None, list]:
     budget = _budget()
     phi = parse_cnf(_read_text(args.file))
     sidecar = None
-    lines = [
+    report = [
         ("command", "reduce"),
         ("kind", args.kind),
         ("input_num_vars", phi.num_vars),
@@ -157,7 +146,7 @@ def _cmd_reduce(args) -> tuple[int, TextIO | None]:
         gg = six_cnf_to_graph(phi, vertex_budget=budget)
         artifact = serialize_graph(gg.graph)
         sidecar = (args.output + ".gadgets.json", provenance_json(gg))
-        lines += [
+        report += [
             ("output_vertices", gg.graph.n),
             ("output_edges", len(gg.graph.edges)),
             ("sidecar", sidecar[0]),
@@ -174,18 +163,18 @@ def _cmd_reduce(args) -> tuple[int, TextIO | None]:
                 raise InputError("chain requires --r")
             psi = hardness_chain(args.r, phi, clause_budget=budget)
         artifact = serialize_cnf(psi)
-        lines += [
+        report += [
             ("output_num_vars", psi.num_vars),
             ("output_clauses", len(psi.clauses)),
             ("output_width", psi.width),
         ]
     if args.output is None:
         sys.stdout.write(artifact)
-        lines.append(("output", "-"))
+        report.append(("output", "-"))
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(artifact)
-        lines.append(("output", args.output))
+        report.append(("output", args.output))
     # after the graph file, so a graph that cannot be written leaves no
     # sidecar; a sidecar that cannot be written takes the graph file with it
     if sidecar is not None:
@@ -195,19 +184,16 @@ def _cmd_reduce(args) -> tuple[int, TextIO | None]:
         except OSError:
             os.unlink(args.output)
             raise
-    for key, value in lines:
-        _emit(sys.stderr, key, value)
-    return 0, sys.stderr
+    return 0, sys.stderr, report
 
 
-def _cmd_classics(args) -> tuple[int, TextIO | None]:
-    out = sys.stdout
+def _cmd_classics(args) -> tuple[int, TextIO | None, list]:
     if args.name is not None:
         sys.stdout.write(serialize_graph(classic(args.name.replace("-", "_"), args.param)))
-        return 0, None
+        return 0, None, []
     if args.param is not None:
         raise InputError("--param requires a graph name")
-    _emit(out, "command", "classics")
+    report = [("command", "classics")]
     all_match = True
     for name, k, published, exact in _CLASSICS_TABLE:
         g = classic(name)
@@ -216,27 +202,23 @@ def _cmd_classics(args) -> tuple[int, TextIO | None]:
         match = value == published if exact else (value != SATURATED and value >= published)
         all_match = all_match and match
         stated = f"published={published}" if exact else f"published>={published}"
-        _emit(
-            out,
+        report.append((
             "row",
             f"{name} k={k} chromatic={chi} resilience={value} {stated} "
             f"match={'true' if match else 'false'}",
-        )
-    _emit(out, "all_match", all_match)
-    return (0 if all_match else 1), out
+        ))
+    report.append(("all_match", all_match))
+    return (0 if all_match else 1), sys.stdout, report
 
 
-def _cmd_verify_gadgets(args) -> tuple[int, TextIO | None]:
-    out = sys.stdout
-    report = verify_gadget_contracts()
-    passed, failed = report.counts()
-    _emit(out, "command", "verify-gadgets")
-    _emit(out, "checks_passed", passed)
-    _emit(out, "checks_failed", failed)
-    for check in report.failures():
-        _emit(out, "failure", f"{check.gadget} {check.contract} {check.pattern} {check.detail}")
-    _emit(out, "ok", report.ok)
-    return (0 if report.ok else 1), out
+def _cmd_verify_gadgets(args) -> tuple[int, TextIO | None, list]:
+    contracts = verify_gadget_contracts()
+    passed, failed = contracts.counts()
+    report = [("command", "verify-gadgets"), ("checks_passed", passed), ("checks_failed", failed)]
+    for check in contracts.failures():
+        report.append(("failure", f"{check.gadget} {check.contract} {check.pattern} {check.detail}"))
+    report.append(("ok", contracts.ok))
+    return (0 if contracts.ok else 1), sys.stdout, report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,25 +264,40 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name in ("stdout", "stderr"):
+        # a descriptor closed before start-up leaves its stream None
+        if getattr(sys, name) is None:
+            setattr(sys, name, open(os.devnull, "w", encoding="utf-8"))
     started = time.perf_counter()
     try:
-        code, report = args.func(args)
-        if report is not None:
-            print(f"# wall_time_s={time.perf_counter() - started:.3f}", file=report)
+        code, stream, report = args.func(args)
+        if stream is not None:
+            for key, value in report:
+                if isinstance(value, bool):
+                    value = "true" if value else "false"
+                print(f"{key}={value}", file=stream)
+            print(f"# wall_time_s={time.perf_counter() - started:.3f}", file=stream)
         # a reader that left shows up here, not in the shutdown flush
         sys.stdout.flush()
+        sys.stderr.flush()
+        return code
     except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, exc
     except (InputError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError):
-            # send what stdout still holds nowhere, so the shutdown flush
-            # adds no second report of the closed pipe
+        code, error = 2, exc
+    # stdout may still hold what a closed pipe refused.  A stream that fails
+    # here is pointed at the null device, so the shutdown flush stays silent
+    # and the exit code stays 2 or 3
+    for stream, text in ((sys.stdout, ""), (sys.stderr, f"error: {error}\n")):
+        try:
+            stream.write(text)
+            stream.flush()
+        except OSError:
             devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            # a closed descriptor is free, so os.open may hand that very one back
+            if devnull != stream.fileno():
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
     return code
 
 

@@ -3,6 +3,8 @@
 Graphs are immutable.  The set of (low, high) edge pairs answers edge
 queries; each graph also caches an ascending tuple of neighbors per vertex,
 which the coloring engine walks so a step costs the vertex's degree, not n.
+The package's two reported errors live here, where every module can import
+them: InputError (exit 2 in the command line) and BudgetExceededError (exit 3).
 """
 from __future__ import annotations
 
@@ -19,6 +21,10 @@ class InputError(ValueError):
 
 class ParseError(InputError):
     """Malformed input text; the message names the offending line."""
+
+
+class BudgetExceededError(RuntimeError):
+    """An output would exceed the configured clause or vertex budget."""
 
 
 def normalize_edge(u: int, v: int) -> tuple[int, int]:

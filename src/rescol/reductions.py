@@ -30,17 +30,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .coloring import extend_coloring, validate_coloring
-from .graphs import Graph, InputError, add_edges, non_edges, normalize_edge
+from .graphs import BudgetExceededError, Graph, InputError, add_edges, non_edges, normalize_edge
 from .sat import CnfFormula, _is_tautology
 
 DEFAULT_CLAUSE_BUDGET = 10**6
 DEFAULT_VERTEX_BUDGET = 10**5
 
 GRAY = 2  # canonical base color
-
-
-class BudgetExceededError(RuntimeError):
-    """An output would exceed the configured clause or vertex budget."""
 
 
 def blow_up(phi: CnfFormula, s: int, *, clause_budget: int | None = None) -> CnfFormula:

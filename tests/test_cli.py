@@ -1,9 +1,10 @@
 """End-to-end checks of the command line surface.
 
-Every test but one drives ``main(argv)`` in process and inspects the
-key=value report, the artifact stream, and the exit code; the one runs the
-module with its stdout pipe closed.  Lines starting with '#' are
-commentary (wall time) and are excluded whenever two reports are compared.
+Most tests drive ``main(argv)`` in process and inspect the key=value
+report, the artifact stream, and the exit code; a few run the module in a
+subprocess with its stdout or stderr closed or its pipe's reader gone.
+Lines starting with '#' are commentary (wall time) and are excluded
+whenever two reports are compared.
 The error-boundary tests at the end also call the library directly: exit 2
 is for InputError, and every other ValueError is raised.
 """
@@ -29,6 +30,7 @@ from rescol.coloring import (
     validate_coloring,
 )
 from rescol.graphs import (
+    BudgetExceededError,
     Graph,
     InputError,
     ParseError,
@@ -503,8 +505,8 @@ def test_wall_time_commentary(tmp_path, monkeypatch, capsys, argv, stdin, code, 
 
 
 class _ReaderLeaves(io.StringIO):
-    """A stdout over the descriptor fd whose reader closes the pipe once
-    `lines` lines have been written."""
+    """A report stream over the descriptor fd whose reader closes the pipe
+    once `lines` lines have been written."""
 
     def __init__(self, lines, fd):
         super().__init__()
@@ -550,27 +552,116 @@ def test_closed_report_stream_exits_two(tmp_path, monkeypatch, capsys, argv, std
     assert capsys.readouterr().err == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 
 
+def _cli_env(unbuffered=False):
+    """The environment for running the module from this checkout's src."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_stdout_pipe_closed_before_the_report_exits_two(unbuffered):
     """The console entry point with its stdout pipe closed before it writes:
     with block buffering the failure surfaced only in the shutdown flush
     (exit 120, 'Exception ignored'), so main flushes inside its error
     boundary."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first write
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "rescol.cli", "classics"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, env=_cli_env(unbuffered), text=True, timeout=60,
         )
     finally:
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"]
+
+
+def test_closed_report_stderr_exits_two(tmp_path, monkeypatch, capsys):
+    """reduce reports on stderr, so a reader that leaves stderr after the
+    first report line takes the error line with it: exit 2 all the same,
+    stderr pointed at the null device, and the artifact intact on stdout."""
+    phi = CnfFormula.make(3, ((1, 2, 3),))
+    fd = os.open(tmp_path / "stderr", os.O_WRONLY | os.O_CREAT)
+    try:
+        err = _ReaderLeaves(1, fd)
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_cnf(phi)))
+        monkeypatch.setattr("sys.stderr", err)
+        rc = main(["reduce", "--kind", "blowup", "--s", "2"])
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert rc == 2
+    assert err.getvalue() == "command=reduce\n"
+    assert parse_cnf(capsys.readouterr().out) == blow_up(phi, 2)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stderr_pipe_closed_before_the_report_exits_two(unbuffered):
+    """reduce's report stream is stderr, where its error line goes too: with
+    the reader gone, neither write may turn exit 2 into 1 or 120."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rescol.cli", "reduce", "--kind", "blowup", "--s", "2"],
+            input="p cnf 3 1\n1 2 3 0\n", stdout=subprocess.DEVNULL, stderr=write_end,
+            env=_cli_env(unbuffered), text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "closed",
+    [
+        ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "rescol.cli"],
+        [sys.executable, "-c", "import os, sys; os.close(2); from rescol.cli import main; sys.exit(main())"],
+    ],
+    ids=["before-start-up", "after-start-up"],
+)
+@pytest.mark.parametrize(
+    "argv, stdin, code",
+    [
+        (["reduce", "--kind", "blowup", "--s", "10000"], "p cnf 3 3\n1 0\n2 0\n3 0\n", 3),
+        (["color", "--k", "0"], PETERSEN, 2),
+    ],
+    ids=["exit-3", "exit-2"],
+)
+def test_closed_stderr_keeps_the_exit_code(argv, stdin, code, closed):
+    """With descriptor 2 closed the error line cannot be written, and the
+    exit code is still 3 or 2, never 1, which would read as a verdict.
+    Closed before start-up, sys.stderr is None; closed after, it is a stream
+    over a free descriptor, which the null device then takes."""
+    proc = subprocess.run(
+        closed + argv, input=stdin, stdout=subprocess.PIPE, env=_cli_env(), text=True, timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("error, code", [(InputError, 2), (BudgetExceededError, 3)])
+def test_failure_part_way_leaves_no_partial_record(monkeypatch, capsys, error, code):
+    """main writes the report only after the command returns, so a classics
+    table that fails at its third row prints no row at all."""
+    rows = []
+
+    def third_row_fails(g):
+        rows.append(g)
+        if len(rows) == 3:
+            raise error("third row failed")
+        return chromatic_number(g)
+
+    monkeypatch.setattr("rescol.cli.chromatic_number", third_row_fails)
+    rc = main(["classics"])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.out == ""
+    assert captured.err == "error: third row failed\n"
 
 
 def test_missing_file_is_a_usage_error(capsys):
@@ -679,6 +770,10 @@ def test_input_errors_are_input_error():
     assert issubclass(InputError, ValueError)
     assert issubclass(ParseError, InputError)
     assert rescol.InputError is InputError
+    # one budget class, re-exported where it was first defined
+    assert rescol.BudgetExceededError is rescol.reductions.BudgetExceededError is BudgetExceededError
+    assert issubclass(BudgetExceededError, RuntimeError)
+    assert not issubclass(BudgetExceededError, InputError)
     g = classic("petersen")
     phi = CnfFormula.make(2, [(1, 2)])
     wide = CnfFormula.make(7, [tuple(range(1, 8))])

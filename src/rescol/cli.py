@@ -19,8 +19,9 @@ exit code: a failed run still exits 2 or 3 when its ``error:`` line cannot
 be written, and a report that cannot be written exits 2.  Such a stream is
 pointed at the null device, so the interpreter's flush at exit stays
 silent; a descriptor closed before start-up, which leaves its stream None,
-gets the null device too.  The library checks its own arguments; any other
-ValueError is an internal error and is raised, not reported as exit 2.
+is unwritable like any closed one.  The library checks its own arguments;
+any other ValueError is an internal error and is raised, not reported as
+exit 2.
 
 Graph witnesses are printed as comma-separated ``u-v`` pairs, 1-indexed to
 match DIMACS files; formula witnesses as comma-separated ``x<var>=<0|1>``
@@ -265,9 +266,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for name in ("stdout", "stderr"):
-        # a descriptor closed before start-up leaves its stream None
+        # a descriptor closed before start-up leaves its stream None; the
+        # read-only null device fails every write as a closed stream does
         if getattr(sys, name) is None:
-            setattr(sys, name, open(os.devnull, "w", encoding="utf-8"))
+            setattr(sys, name, open(os.devnull, encoding="utf-8"))
     started = time.perf_counter()
     try:
         code, stream, report = args.func(args)

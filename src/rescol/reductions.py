@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .coloring import extend_coloring, validate_coloring
@@ -375,15 +375,7 @@ def provenance_json(gg: GadgetGraph) -> str:
         "vertex_count": gg.graph.n,
         "source_num_vars": gg.source_num_vars,
         "literal_ports": {str(lit): list(pair) for lit, pair in sorted(gg.literal_ports.items())},
-        "gadgets": [
-            {
-                "kind": rec.kind,
-                "vertices": list(rec.vertices),
-                "ports": list(rec.ports),
-                "ref": rec.ref,
-            }
-            for rec in gg.provenance
-        ],
+        "gadgets": [asdict(rec) for rec in gg.provenance],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

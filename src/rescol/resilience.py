@@ -93,44 +93,45 @@ def _first_uncovered(
     Canonical order takes group subsets lexicographically, then the choices
     within a group subset in product order, its first group most
     significant.  The search walks group prefixes depth first; each live
-    prefix choice is a node [mask, cover], cover holding the certificates
-    that contain mask.  A node whose cover meets ``dead`` of the next group
-    has every completion covered and is dropped.  At the last group only
-    the escape set, the later elements outside every covering certificate,
-    can be uncovered; those subsets are solved in canonical order.
-    ``solve(mask)`` returns a certificate mask containing mask, which joins
-    the store and the cover of every stacked node inside it, or None, which
-    ends the scan at that mask.  The count is the mask's canonical rank plus
-    one, or every subset when none is uncovered, so it equals the count of
-    a scan that visits every subset.
+    prefix choice is a node [mask, cover, escape], cover holding the
+    certificates that contain mask.  A node whose cover meets ``dead`` of
+    the next group has every completion covered and is dropped.  At the
+    last group only the node's escape set, the later elements outside every
+    covering certificate, can be uncovered (inner nodes keep 0 there); those
+    subsets are solved in canonical order.  ``solve(mask)`` returns a
+    certificate mask containing mask, which joins the store, the cover of
+    every stacked node inside it and, through its complement, that node's
+    escape set, or None, which ends the scan at that mask.  The count is
+    the mask's canonical rank plus one, or every subset when none is
+    uncovered, so it equals the count of a scan that visits every subset.
+    A size-0 scan must run on a fresh store: it solves the empty subset.
     """
     groups, choices = store.groups, store.choices
     covers, complements, dead = store.covers, store.complements, store.dead
     universe = store.universe
     total = comb(groups, size) * choices**size
-    root = [0, (1 << len(complements)) - 1]
     if size == 0:
-        # the empty subset is uncovered only while the store is empty
-        if root[1]:
-            return None, 1
         cert = solve(0)
         if cert is None:
             return 0, 1
         store.add(cert)
         return None, 1
+    root = [0, (1 << len(complements)) - 1, 0]
     stack = [[root]]
 
     def keep(cert: int) -> None:
         bit = store.add(cert)
+        complement = complements[-1]
         for level in stack:
             for node in level:
-                if node[0] & ~cert == 0:
+                if node[0] & complement == 0:
                     node[1] |= bit
+                    node[2] &= complement
 
     def last_pick(nodes: list[list[int]], start: int) -> int | None:
         later = universe >> start * choices << start * choices  # groups start and on
-        escapes = []
-        for _, cover in nodes:
+        for node in nodes:
+            cover = node[1]
             escape = later
             while cover and escape:
                 # newest certificate first: on random 4-colorable graphs this
@@ -138,26 +139,23 @@ def _first_uncovered(
                 t = cover.bit_length() - 1
                 escape &= complements[t]
                 cover ^= 1 << t
-            escapes.append(escape)
+            node[2] = escape
         while True:
             pending = 0
-            for escape in escapes:
-                pending |= escape
+            for node in nodes:
+                pending |= node[2]
             if not pending:
                 return None
             low = (pending & -pending).bit_length() - 1
             group = range(low - low % choices, low - low % choices + choices)
-            for i, node in enumerate(nodes):
+            for node in nodes:
                 for e in group:
-                    if escapes[i] >> e & 1:
+                    if node[2] >> e & 1:
                         mask = node[0] | 1 << e
                         cert = solve(mask)
                         if cert is None:
                             return mask
                         keep(cert)
-                        for j, other in enumerate(nodes):
-                            if other[0] & ~cert == 0:
-                                escapes[j] &= complements[-1]
 
     def search(nodes: list[list[int]], start: int, depth: int) -> int | None:
         if depth + 1 == size:
@@ -165,11 +163,11 @@ def _first_uncovered(
         for g in range(start, groups - size + depth + 1):
             after = dead[g + 1]
             live = []
-            for mask, cover in nodes:
+            for mask, cover, _ in nodes:
                 for e in range(g * choices, g * choices + choices):
                     both = cover & covers[e]
                     if not both & after:
-                        live.append([mask | 1 << e, both])
+                        live.append([mask | 1 << e, both, 0])
             if live:
                 stack.append(live)
                 found = search(live, g + 1, depth + 1)

@@ -442,7 +442,7 @@ def restrict(phi: CnfFormula, rho: Restriction) -> CnfFormula:
     return CnfFormula(phi.num_vars, tuple(out))
 
 
-def _model_mask(model: list[bool]) -> int:
+def _model_mask(model: Iterable[bool]) -> int:
     """The literals a model makes true, as a mask with bit 2*(variable-1) + value."""
     return sum(1 << (2 * var + val) for var, val in enumerate(model))
 
@@ -452,22 +452,28 @@ def _fixes(mask: int) -> list[tuple[int, bool]]:
     return [((bit >> 1) + 1, bool(bit & 1)) for bit in _bits(mask)]
 
 
-def _model_certifier(solver: _Solver) -> Callable[[int], int | None]:
+def _model_certifier(phi: CnfFormula) -> Callable[[int], int | None]:
     """The solve of a formula scan: a literal mask maps to the literal mask of
     a model that makes those literals true, or to None when there is none.
 
-    Least models all look alike, so each would cover few restrictions that
-    earlier ones miss.  Each solve therefore takes a pseudo-random phase
-    seeded with the mask itself: any model extending the restriction is a
-    valid certificate, and None does not depend on the phase, so verdicts,
-    witnesses and counters cannot move.  A pure function of the mask keeps
-    the certifier free of call history (a scan and a reference scan sharing
-    it solve alike), and seeding ``random`` with an int does not depend on
-    ``PYTHONHASHSEED``.
+    ``is_satisfiable`` answers the empty mask on its eliminated core; any
+    other mask may fix eliminated variables, so one solver over all of phi
+    answers it.  Least models all look alike, so each would cover few
+    restrictions that earlier ones miss.  Those solves therefore take a
+    pseudo-random phase seeded with the mask itself: any model extending
+    the restriction is a valid certificate, and None does not depend on the
+    phase, so verdicts, witnesses and counters cannot move.  A pure
+    function of the mask keeps the certifier free of call history (a scan
+    and a reference scan sharing it solve alike), and seeding ``random``
+    with an int does not depend on ``PYTHONHASHSEED``.
     """
-    width = solver.num_vars + 1
+    solver = _Solver(phi)
+    width = phi.num_vars + 1
 
     def solve(mask: int) -> int | None:
+        if not mask:
+            least = is_satisfiable(phi)
+            return None if least is None else _model_mask(least.values())
         phase = random.Random(mask).getrandbits(width)
         model = solver.solve([var if val else -var for var, val in _fixes(mask)], phase)
         return None if model is None else _model_mask(model)
@@ -485,17 +491,18 @@ def is_r_resilient(phi: CnfFormula, r: int) -> SatResilienceVerdict:
     restrictions up to and including the witness (all of them when
     resilient).
 
-    One incremental solver serves the whole scan, each restriction pushed as
-    assumptions.  Every model found so far is kept, and the search over
-    variable prefixes solves only the restrictions that no kept model agrees
-    with; restrictions_checked is computed from the witness's rank.  Such
-    hits can never flip a verdict: the kept model is itself a model of the
+    ``is_satisfiable`` answers r = 0; above it one incremental solver
+    serves the whole scan, each restriction pushed as assumptions.  Every
+    model found so far is kept, and the search over variable prefixes
+    solves only the restrictions that no kept model agrees with;
+    restrictions_checked is computed from the witness's rank.  Such hits
+    can never flip a verdict: the kept model is itself a model of the
     restricted formula.
     """
     if r < 0:
         raise InputError("r must be >= 0")
     size = min(r, phi.num_vars)
-    solve = _model_certifier(_Solver(phi))
+    solve = _model_certifier(phi)
     failure, checked = _first_uncovered(_CertificateStore(phi.num_vars, 2), size, solve)
     witness = None if failure is None else Restriction(tuple(_fixes(failure)))
     return SatResilienceVerdict(failure is None, witness, size, checked)
@@ -507,7 +514,7 @@ def max_sat_resilience(phi: CnfFormula) -> int | str:
     Returns SATURATED, without a search, exactly when every clause is a
     tautology, that is when phi survives fixing all num_vars variables; raises
     InputError for unsatisfiable input, which is not even 0-resilient.  One
-    solver and one store of every model found serve the sweep from r = 0,
+    certifier and one store of every model found serve the sweep from r = 0,
     which stops at the first failing r or at w - 1, whichever comes first:
     fixing the w distinct variables of the narrowest non-tautological clause
     against it falsifies it, so phi is not w-resilient.
@@ -517,7 +524,7 @@ def max_sat_resilience(phi: CnfFormula) -> int | str:
         return SATURATED
     return _max_resilience(
         _CertificateStore(phi.num_vars, 2),
-        _model_certifier(_Solver(phi)),
+        _model_certifier(phi),
         "formula is not even 0-resilient",
         # an empty clause gives w = 0: phi is unsatisfiable, and the r = 0 scan raises
         max(min(widths) - 1, 0),

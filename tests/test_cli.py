@@ -644,6 +644,28 @@ def test_closed_stderr_keeps_the_exit_code(argv, stdin, code, closed):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "redirect, argv, stdin",
+    [
+        (">&-", ["color", "--k", "3"], PETERSEN),
+        (">&-", ["classics", "petersen"], ""),
+        ("2>&- >/dev/null", ["reduce", "--kind", "blowup", "--s", "2"], "p cnf 3 1\n1 2 3 0\n"),
+    ],
+    ids=["color-report", "classics-artifact", "reduce-report"],
+)
+def test_stream_closed_before_start_up_exits_two(redirect, argv, stdin):
+    """A report or artifact bound for a descriptor closed before start-up
+    (its stream None) cannot be written, so the run exits 2 as it does for
+    any closed stream, never 0 with the output dropped."""
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "rescol.cli"] + argv,
+        input=stdin, stderr=subprocess.PIPE, env=_cli_env(), text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    if redirect == ">&-":
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("error, code", [(InputError, 2), (BudgetExceededError, 3)])
 def test_failure_part_way_leaves_no_partial_record(monkeypatch, capsys, error, code):
     """main writes the report only after the command returns, so a classics

@@ -277,12 +277,15 @@ def test_clebsch_scan_solver_calls_pinned(monkeypatch):
 def test_certificate_store_keeps_every_certificate():
     """No certificate is ever dropped: 200 singleton groups at r = 1, each
     certified only by itself, take 200 solves and leave 200 certificates,
-    which answer a second scan over the same store without a solve."""
+    which answer a second scan over the same store without a solve.  The
+    solve fails past 200 calls, so a scan that misses a certificate it
+    found fails the test instead of re-solving one mask forever."""
     calls = 0
 
     def solve(mask):
         nonlocal calls
         calls += 1
+        assert calls <= 200
         return mask
 
     store = resilience._CertificateStore(200, 1)

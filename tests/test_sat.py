@@ -344,11 +344,11 @@ def test_model_cache_solver_calls_pinned(monkeypatch):
 
 def test_max_sat_resilience_solver_calls_pinned(monkeypatch):
     """Perf gate: every model found, from the r = 0 scan on, serves the
-    whole sweep."""
+    whole sweep.  The r = 0 scan keeps is_satisfiable's least model."""
     calls = count_calls(monkeypatch, sat._Solver, "solve")
     psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
     assert max_sat_resilience(psi) == 8
-    assert calls[0] == 420
+    assert calls[0] == 406
 
 
 def test_bounded_max_matches_unbounded_sweep(monkeypatch):
@@ -381,7 +381,7 @@ def test_bounded_max_matches_unbounded_sweep(monkeypatch):
             bounded = calls[0]
             calls[0] = 0
             store = sat._CertificateStore(phi.num_vars, 2)
-            solve = sat._model_certifier(sat._Solver(phi))
+            solve = sat._model_certifier(phi)
             assert sat._max_resilience(store, solve, "", phi.num_vars) == got
             assert bounded <= calls[0]
 
@@ -397,7 +397,7 @@ def test_scan_matches_plain_reference_scan(monkeypatch):
     for _ in range(250):
         phi = random_cnf(rng, max_vars=7, max_clauses=8, max_width=4)
         n = phi.num_vars
-        solve = sat._model_certifier(sat._Solver(phi))
+        solve = sat._model_certifier(phi)
         store = sat._CertificateStore(n, 2)
         certs = []
         for r in range(4):
@@ -660,6 +660,16 @@ def test_eliminate_top_on_chain_outputs():
     assert min(seen.values()) > 0, seen
 
 
+def test_zero_resilience_runs_is_satisfiable(monkeypatch):
+    """The r = 0 scan is one is_satisfiable call, so it refutes the chain
+    of (x1)(not x1) on the eliminated core, not on the whole formula."""
+    calls = count_calls(monkeypatch, sat, "_eliminate_top")
+    psi = hardness_chain(2, CnfFormula.make(1, [(1,), (-1,)]))
+    verdict = is_r_resilient(psi, 0)
+    assert calls[0] == 1
+    assert not verdict.resilient and verdict.restrictions_checked == 1
+
+
 def test_max_sat_resilience_errors_on_unsat():
     with pytest.raises(ValueError, match="not even 0-resilient"):
         max_sat_resilience(CnfFormula.make(1, [(1,), (-1,)]))
@@ -692,9 +702,10 @@ def test_clause_bound():
             assert got != SATURATED and got < min(bounds)
 
 
-def least_model_certifier(solver):
+def least_model_certifier(phi):
     """The scan's certifier with every decision False: each model is the
     least one extending its restriction."""
+    solver = sat._Solver(phi)
 
     def solve(mask):
         model = solver.solve([var if val else -var for var, val in sat._fixes(mask)])

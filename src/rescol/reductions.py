@@ -44,7 +44,8 @@ def blow_up(phi: CnfFormula, s: int, *, clause_budget: int | None = None) -> Cnf
 
     Copy i (0-based) renames variable v to i*num_vars + v.  The output has
     s * num_vars variables and m**s clauses, one per element of the s-fold
-    clause product, enumerated in lexicographic order of clause indices.
+    clause product, enumerated in lexicographic order of clause indices
+    (the order of ``itertools.product(phi.clauses, repeat=s)``).
     """
     if s < 1:
         raise InputError("s must be >= 1")
@@ -60,13 +61,13 @@ def blow_up(phi: CnfFormula, s: int, *, clause_budget: int | None = None) -> Cnf
             f"blow-up would emit one clause of {s * phi.width} literals, over the budget of {budget}"
         )
     n = phi.num_vars
-    out: list[tuple[int, ...]] = []
-    for combo in itertools.product(phi.clauses, repeat=s):
-        lits: list[int] = []
-        for i, cl in enumerate(combo):
-            offset = i * n
-            lits.extend(lit + offset if lit > 0 else lit - offset for lit in cl)
-        out.append(tuple(lits))
+    # extend every partial product by every clause of the next copy, so the
+    # product keeps its lexicographic order with copy 0 most significant
+    out: list[tuple[int, ...]] = [()]
+    for i in range(s):
+        offset = i * n
+        copy = [tuple(lit + offset if lit > 0 else lit - offset for lit in cl) for cl in phi.clauses]
+        out = [head + cl for head in out for cl in copy]
     return CnfFormula(s * n, tuple(out))
 
 

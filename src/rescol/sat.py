@@ -9,7 +9,11 @@ There is one solver: an incremental DPLL built once per formula, which
 answers each restriction as a set of assumed literals and undoes them
 afterwards.  Its one trail records every assignment, and each clause is
 watched through its first two slots (the MiniSat layout).  Decisions follow
-a phase that the caller may pass, False by default.  ``is_satisfiable``
+a phase that the caller may pass, False by default.  A solve first tests its
+phase assignment, each variable at its phase value with the assumed
+literals written over it: when that satisfies every clause it is returned
+without a search, which is exact because DPLL guided by that phase meets no
+conflict and ends at that same assignment.  ``is_satisfiable``
 first resolves away the top variables that occur in at most one clause of
 each polarity (Davis–Putnam elimination, which never grows the formula;
 the switch variables of ``hardness_chain``'s shrink rounds are such), runs
@@ -207,6 +211,13 @@ class _Solver:
     propagation visits only the clauses watching a newly falsified literal
     and swaps a replacement watch into slot 1.  Watches need no repair on
     undo.
+
+    Before any literal goes on the trail, ``solve`` tests its phase
+    assignment: each variable at its phase value, the assumed literals
+    written over them.  When that assignment satisfies every clause it is
+    the model the search would end at, so it is returned without one.  The
+    test keeps one witness literal per clause, the one that held last time,
+    and reads a clause only when its witness fails.
     """
 
     def __init__(self, phi: CnfFormula):
@@ -219,6 +230,11 @@ class _Solver:
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
         self.trail: list[int] = []
         self.head = 0
+        # witness[j] is a literal of clause j that held in the last phase
+        # assignment tested, 0 (which never holds) until the clause is first
+        # read; it only speeds the test
+        self.clauses = phi.clauses
+        self.witness = [0] * len(phi.clauses)
         for cl in phi.clauses:
             if len(cl) > 1:
                 clause = list(cl)
@@ -288,6 +304,36 @@ class _Solver:
             value[lit] = value[-lit] = None
         self.head = mark
 
+    def _phase_model(self, assumptions: tuple[int, ...], phase: int) -> list[bool] | None:
+        """The phase assignment when it is a model, else None.
+
+        The phase assignment sets variable v to bit v of ``phase``, then
+        writes the assumed literals over it; it is no assignment when the
+        assumptions hold both literals of a variable.  A clause is read only
+        when its witness literal fails.
+        """
+        n = self.num_vars
+        # holds[lit] tells whether literal lit is true, indexed as value is
+        holds = [False] * (2 * n + 1)
+        for var in range(1, n + 1):
+            holds[var if phase >> var & 1 else -var] = True
+        for lit in assumptions:
+            holds[lit] = True
+            holds[-lit] = False
+        if not all(holds[lit] for lit in assumptions):
+            return None
+        clauses = self.clauses
+        witness = self.witness
+        for j, held in enumerate(witness):
+            if not holds[held]:
+                for lit in clauses[j]:
+                    if holds[lit]:
+                        witness[j] = lit
+                        break
+                else:
+                    return None
+        return holds[1 : n + 1]
+
     def solve(self, assumptions: Iterable[int] = (), phase: int = 0) -> list[bool] | None:
         """A model extending the assumed literals, or None.
 
@@ -295,9 +341,19 @@ class _Solver:
         model returned is the first one extending the assumptions when every
         variable tries its phase value first; phase 0 gives the least model.
         The model lists the values of variables 1..num_vars in order.
+
+        When the phase assignment (``_phase_model``) is a model, it is that
+        first model and is returned without a search.  Unit propagation from
+        literals that are all true in a model A forces only literals true in
+        A, and every decision takes A's value, so the DPLL below would meet
+        no conflict and end at A.
         """
         if not self.consistent:
             return None
+        assumptions = tuple(assumptions)
+        model = self._phase_model(assumptions, phase)
+        if model is not None:
+            return model
         try:
             if not (all(self._assign(lit) for lit in assumptions) and self._propagate()):
                 return None

@@ -49,6 +49,17 @@ def test_blow_up_product_order():
         (-1, -2, -3, -4, -5, -6),
     )
     assert psi.width == 6
+    # at s = 3, clause by clause the definition: copy i renames v to i*n + v,
+    # over itertools.product of the clauses, copy 0 most significant
+    rng = random.Random(40)
+    for _ in range(30):
+        phi = random_cnf(rng, max_vars=5, max_clauses=5, max_width=3)
+        n = phi.num_vars
+        expected = tuple(
+            tuple(lit + i * n if lit > 0 else lit - i * n for i, cl in enumerate(combo) for lit in cl)
+            for combo in itertools.product(phi.clauses, repeat=3)
+        )
+        assert blow_up(phi, 3) == CnfFormula(3 * n, expected)
 
 
 def test_blow_up_negative_literal_offsets():

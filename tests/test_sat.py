@@ -335,20 +335,26 @@ def test_model_cache_solver_calls_pinned(monkeypatch):
     """Perf gate: the model cache answers most restrictions of a blow-up scan
     without a solve; a cache regression changes this count."""
     calls = count_calls(monkeypatch, sat._Solver, "solve")
+    propagations = count_calls(monkeypatch, sat._Solver, "_propagate")
     psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
     verdict = is_r_resilient(psi, 2)
     assert verdict.resilient and verdict.restrictions_checked == math.comb(9, 2) * 4
     assert calls[0] == 10
     assert calls[0] < verdict.restrictions_checked
+    # every solve's phase assignment is a model: only the constructor propagates
+    assert propagations[0] == 1
 
 
 def test_max_sat_resilience_solver_calls_pinned(monkeypatch):
     """Perf gate: every model found, from the r = 0 scan on, serves the
     whole sweep.  The r = 0 scan keeps is_satisfiable's least model."""
     calls = count_calls(monkeypatch, sat._Solver, "solve")
+    propagations = count_calls(monkeypatch, sat._Solver, "_propagate")
     psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
     assert max_sat_resilience(psi) == 8
     assert calls[0] == 406
+    # the solves whose phase assignment is a model run no propagation
+    assert propagations[0] == 84
 
 
 def test_bounded_max_matches_unbounded_sweep(monkeypatch):
@@ -460,7 +466,7 @@ def test_solver_returns_least_model():
     most significant and False before True, found here by enumerating every
     assignment in that order."""
     rng = random.Random(31)
-    seen = {"unit": 0, "duplicate": 0, "tautology": 0, "repeated": 0, "contradictory": 0}
+    seen = {"unit": 0, "duplicate": 0, "tautology": 0, "repeated": 0, "contradictory": 0, "phase model": 0}
     for _ in range(300):
         phi = random_cnf(rng, max_vars=9, max_clauses=12, max_width=4)
         seen["unit"] += any(len(cl) == 1 for cl in phi.clauses)
@@ -483,6 +489,11 @@ def test_solver_returns_least_model():
                 (m for m in models if all(m[abs(lit) - 1] == (lit > 0) for lit in assumptions)),
                 None,
             )
+            # the all-False assignment with the assumptions written over it
+            phased = [False] * phi.num_vars
+            for lit in assumptions:
+                phased[abs(lit) - 1] = lit > 0
+            seen["phase model"] += expected == phased
             assert solver.solve(assumptions) == expected
     assert min(seen.values()) > 0, seen
 
@@ -503,7 +514,7 @@ def test_solver_follows_phase():
     assert solver.solve((), 0b1110) == [False, True, True]
     assert solver.solve((3,), 0b0010) == [False, False, True]
     rng = random.Random(32)
-    seen = {"unit": 0, "tautology": 0, "contradictory": 0, "unsat": 0}
+    seen = {"unit": 0, "tautology": 0, "contradictory": 0, "unsat": 0, "phase model": 0}
     for _ in range(300):
         phi = random_cnf(rng, max_vars=9, max_clauses=12, max_width=4)
         n = phi.num_vars
@@ -525,6 +536,11 @@ def test_solver_follows_phase():
                 None,
             )
             seen["unsat"] += expected is None
+            # the phase assignment with the assumptions written over it
+            phased = first[:]
+            for lit in assumptions:
+                phased[abs(lit) - 1] = lit > 0
+            seen["phase model"] += expected == phased
             assert solver.solve(assumptions, phase) == expected
     assert min(seen.values()) > 0, seen
 

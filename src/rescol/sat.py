@@ -309,8 +309,7 @@ class _Solver:
 
         The phase assignment sets variable v to bit v of ``phase``, then
         writes the assumed literals over it; it is no assignment when the
-        assumptions hold both literals of a variable.  A clause is read only
-        when its witness literal fails.
+        assumptions hold both literals of a variable.
         """
         n = self.num_vars
         # holds[lit] tells whether literal lit is true, indexed as value is

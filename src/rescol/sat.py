@@ -1,6 +1,13 @@
 """CNF formulas, DIMACS CNF I/O, an exact solver, and restriction resilience.
 
 Variables are positive integers 1..num_vars; a literal is a signed variable.
+DIMACS text is read in bulk when only clauses follow its header: the lines
+are split into integer tokens a block at a time and cut at the zeros.  Any
+other text (comments after the header, the "%" trailer, a malformed or
+out-of-range token, a wrong clause count) is read by a line walker that
+accepts exactly the same texts and names the offending line in its errors.
+Formulas are written one line per clause through a format string built once
+per clause width.
 A formula survives a restriction when it stays satisfiable after the
 restricted variables are pinned to their values.  It is r-resilient when it
 survives every restriction of exactly r variables.
@@ -119,15 +126,92 @@ class SatResilienceVerdict:
     restrictions_checked: int
 
 
+# lines of clause text tokenised at a time by the bulk reader
+_BLOCK_LINES = 256
+
+
 def parse_cnf(text: str) -> CnfFormula:
     """Read DIMACS CNF: a "p cnf n m" header, then m clauses, each a run of
     literals ended by 0.
 
     Clauses may share a line or span several lines.  Lines starting with "c"
     are comments, and a line starting with "%" ends the input (the SATLIB
-    trailer).  Literal order inside clauses is preserved.  Errors name the
-    offending line.
+    trailer).  Literal order inside clauses is preserved.
+
+    A text whose header is followed only by integer tokens (and blank
+    lines), with every literal in range, every clause non-empty and closed
+    and exactly m clauses, is read in bulk: its lines are split into tokens
+    a block at a time and cut into clauses at the zeros.  Every other text
+    (a comment or a second "p" line after the header, the "%" trailer, a
+    bad token, a count that does not match) goes to the line walker, which
+    accepts exactly the same texts and names the offending line in its
+    errors.
     """
+    phi = _parse_bulk(text)
+    return _parse_lines(text) if phi is None else phi
+
+
+def _parse_header(lineno: int, line: str, fields: list[str]) -> tuple[int, int]:
+    """(num_vars, clauses) of a "p" line's fields, or a ParseError."""
+    if len(fields) != 4 or fields[1] != "cnf":
+        raise ParseError(f"line {lineno}: malformed header {line!r}")
+    try:
+        num_vars, expected = int(fields[2]), int(fields[3])
+    except ValueError:
+        raise ParseError(f"line {lineno}: malformed header {line!r}") from None
+    if num_vars < 0 or expected < 0:
+        raise ParseError(f"line {lineno}: negative counts {line!r}")
+    return num_vars, expected
+
+
+def _parse_bulk(text: str) -> CnfFormula | None:
+    """The formula of a text that has only clauses after its header, or None.
+
+    None means the line walker must decide: it either reads a text this
+    pass turned down (comments, the trailer) or raises the error for it.
+    """
+    if "%" in text:
+        # a SATLIB trailer ends the text, where a block would find it last
+        return None
+    lines = text.splitlines()
+    for header, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("c"):
+            break
+    else:
+        return None
+    fields = line.split()
+    if fields[0] != "p":
+        return None
+    try:
+        num_vars, expected = _parse_header(header, line, fields)
+    except ParseError:
+        return None
+    clauses: list[Clause] = []
+    lits: list[int] = []  # the open clause carried from block to block
+    # the header's 1-based line number is the 0-based index of the line after it
+    for start in range(header, len(lines), _BLOCK_LINES):
+        try:
+            lits.extend(map(int, " ".join(lines[start : start + _BLOCK_LINES]).split()))
+        except ValueError:
+            return None
+        if lits and (max(lits) > num_vars or min(lits) < -num_vars):
+            return None
+        pos = 0
+        for _ in range(lits.count(0)):
+            end = lits.index(0, pos)
+            if end == pos:  # an empty clause or a stray 0
+                return None
+            clauses.append(tuple(lits[pos:end]))
+            pos = end + 1
+        lits = lits[pos:]
+    if lits or len(clauses) != expected:
+        return None
+    return CnfFormula(num_vars, tuple(clauses))
+
+
+def _parse_lines(text: str) -> CnfFormula:
+    """parse_cnf one line at a time; its errors name the offending line."""
     num_vars = None
     expected = None
     clauses: list[Clause] = []
@@ -143,14 +227,7 @@ def parse_cnf(text: str) -> CnfFormula:
         if fields[0] == "p":
             if num_vars is not None:
                 raise ParseError(f"line {lineno}: duplicate header {line!r}")
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise ParseError(f"line {lineno}: malformed header {line!r}")
-            try:
-                num_vars, expected = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed header {line!r}") from None
-            if num_vars < 0 or expected < 0:
-                raise ParseError(f"line {lineno}: negative counts {line!r}")
+            num_vars, expected = _parse_header(lineno, line, fields)
             continue
         if num_vars is None:
             raise ParseError(f"line {lineno}: clause before header {line!r}")
@@ -184,12 +261,16 @@ def parse_cnf(text: str) -> CnfFormula:
 
 
 def serialize_cnf(phi: CnfFormula) -> str:
-    """Write DIMACS CNF, literal order preserved; parse(serialize(phi)) == phi."""
+    """Write DIMACS CNF, literal order preserved; parse(serialize(phi)) == phi.
+
+    One clause per line, each written through a "%d ... 0" format built
+    once per clause width.
+    """
     if phi.has_empty_clause:
         raise InputError("cannot serialize a formula containing an empty clause")
-    lines = [f"p cnf {phi.num_vars} {len(phi.clauses)}"]
-    lines.extend(" ".join(map(str, cl)) + " 0" for cl in phi.clauses)
-    return "\n".join(lines) + "\n"
+    formats = {w: "%d " * w + "0\n" for w in set(map(len, phi.clauses))}
+    header = f"p cnf {phi.num_vars} {len(phi.clauses)}\n"
+    return header + "".join([formats[len(cl)] % cl for cl in phi.clauses])
 
 
 class _Solver:

@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,28 +109,117 @@ def test_parse_stream_round_trips_through_serialize():
 
 
 @pytest.mark.parametrize(
-    "text,fragment",
+    "text,message",
     [
-        ("p cnf 1 1\n2 0\n", "out of range"),
-        ("p cnf 1 1\n-2 0\n", "out of range"),
-        ("p cnf 2 1\n1 2\n", "missing terminating 0"),
-        ("1 0\n", "before header"),
-        ("p cnf 2 1\np cnf 2 1\n1 0\n", "duplicate header"),
-        ("p edge 2 1\n1 0\n", "malformed header"),
-        ("p cnf x 1\n1 0\n", "malformed header"),
-        ("p cnf 2 2\n1 0\n", "announced 2 clauses"),
-        ("p cnf 2 1\n1 z 0\n", "malformed clause"),
-        ("p cnf 2 1\n1 0 2 0\n", "stray 0"),
-        ("p cnf 2 1\n0\n", "empty clause"),
-        ("p cnf 2 2\n1 0\n2\n%\n0\n", "line 3: missing terminating 0"),
-        ("p cnf 2 2\n1 0\n\n2 3 0\n", "line 4: variable out of range"),
+        ("p cnf 1 1\n2 0\n", "line 2: variable out of range '2 0'"),
+        ("p cnf 1 1\n-2 0\n", "line 2: variable out of range '-2 0'"),
+        ("p cnf 2 1\n1 2\n", "line 2: missing terminating 0 '1 2'"),
+        ("1 0\n", "line 1: clause before header '1 0'"),
+        ("p cnf 2 1\np cnf 2 1\n1 0\n", "line 2: duplicate header 'p cnf 2 1'"),
+        ("p edge 2 1\n1 0\n", "line 1: malformed header 'p edge 2 1'"),
+        ("p cnf x 1\n1 0\n", "line 1: malformed header 'p cnf x 1'"),
+        ("p cnf 2 2\n1 0\n", "header announced 2 clauses, found 1"),
+        ("p cnf 2 1\n1 z 0\n", "line 2: malformed clause '1 z 0'"),
+        ("p cnf 2 1\n1 0 2 0\n", "line 2: stray 0 closes clause 2 of 1 announced '1 0 2 0'"),
+        ("p cnf 2 1\n0\n", "line 2: empty clause '0'"),
+        ("p cnf 2 2\n1 0\n2\n%\n0\n", "line 3: missing terminating 0 '2'"),
+        ("p cnf 2 2\n1 0\n\n2 3 0\n", "line 4: variable out of range '2 3 0'"),
         ("", "missing 'p cnf' header"),
-        ("p cnf -1 0\n", "negative counts"),
+        ("p cnf -1 0\n", "line 1: negative counts 'p cnf -1 0'"),
     ],
 )
-def test_parse_errors(text, fragment):
-    with pytest.raises(ParseError, match=fragment):
+def test_parse_errors(text, message):
+    with pytest.raises(ParseError) as caught:
         parse_cnf(text)
+    assert str(caught.value) == message
+
+
+_LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85")
+# int() reads the first four as -0, 0, 1 and 10, and U+0661 (Arabic-Indic
+# one) as 1; the rest are no integers at all
+_ODD_TOKENS = ("-0", "00", "+1", "1_0", "\u0661", "x", "c", "p", "%")
+
+
+def _random_dimacs(rng: random.Random) -> str:
+    """A DIMACS-like text: mostly well formed, with seeded damage."""
+    n = rng.randint(0, 12)
+    tokens = []
+    for _ in range(rng.randint(0, 6)):
+        width = rng.randint(1, 4)
+        tokens += [str(rng.choice((1, -1)) * rng.randint(1, max(n, 1))) for _ in range(width)]
+        tokens.append("0")
+    announced = tokens.count("0")
+    roll = rng.random()
+    if roll < 0.1:
+        announced += rng.choice((-1, 1))
+    elif roll < 0.15 and tokens:
+        del tokens[rng.choice([i for i, tok in enumerate(tokens) if tok == "0"])]
+    elif roll < 0.2:
+        tokens.insert(rng.randint(0, len(tokens)), "0")
+    elif roll < 0.25 and tokens:
+        tokens[rng.randrange(len(tokens))] = str(rng.choice((1, -1)) * (n + 1))
+    if rng.random() < 0.3 and tokens:
+        tokens[rng.randrange(len(tokens))] = rng.choice(_ODD_TOKENS)
+
+    def filler() -> str:
+        return rng.choice(("", " ", "\t", "c", "c a comment", " c indented", "cnf 1 0"))
+
+    lines = [filler() for _ in range(rng.choice((0, 0, 1, 2)))]
+    counts = [str(n), str(announced)]
+    if rng.random() < 0.05:
+        counts[rng.randrange(2)] = rng.choice(_ODD_TOKENS)
+    if rng.random() < 0.97:
+        lines.append(rng.choice(("", " ")) + "p cnf " + " ".join(counts) + rng.choice(("", " ", "\t")))
+    line: list[str] = []
+    for tok in tokens:
+        line.append(tok)
+        if rng.random() < 0.4:
+            lines.append(rng.choice(("", " ")) + " ".join(line))
+            line = []
+            if rng.random() < 0.1:
+                lines.append(filler())
+    if line:
+        lines.append(" ".join(line))
+    if rng.random() < 0.05:
+        lines.insert(rng.randint(0, len(lines)), f"p cnf {n} {announced}")
+    if rng.random() < 0.15:
+        lines.append(rng.choice(("%", "% trailer")))
+        lines.append(rng.choice(("0", "", "x y", "1 2")))
+    text = "".join(line + rng.choice(_LINE_BREAKS) for line in lines)
+    return text if rng.random() < 0.8 else text.rstrip("\r\n")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_parse_matches_line_walker(monkeypatch):
+    """parse_cnf and the line walker agree on every text, formula or error.
+
+    Small blocks make clauses span block boundaries on every few lines.
+    """
+    rng = random.Random(24)
+    tally = {"bulk": 0, "walker only": 0}
+    kinds = {
+        "variable out of range", "missing terminating 0", "clause before header",
+        "duplicate header", "malformed header", "negative counts", "malformed clause",
+        "stray 0", "empty clause", "header announced", "missing 'p cnf' header",
+    }
+    seen = set()
+    for _ in range(20_000):
+        text = _random_dimacs(rng)
+        monkeypatch.setattr(sat, "_BLOCK_LINES", rng.choice((1, 2, 3, 1024)))
+        expected = _outcome(sat._parse_lines, text)
+        assert _outcome(parse_cnf, text) == expected, repr(text)
+        if isinstance(expected, CnfFormula):
+            tally["bulk" if sat._parse_bulk(text) is not None else "walker only"] += 1
+        else:
+            seen |= {kind for kind in kinds if kind in expected}
+    assert seen == kinds
+    assert min(tally.values()) > 2_000, tally
 
 
 def test_serialize_exact():
@@ -155,6 +245,47 @@ def test_round_trip_blow_up_output():
     phi = CnfFormula.make(3, [(1, 2, 3), (-1, -2, -3)])
     psi = blow_up(phi, 2)
     assert parse_cnf(serialize_cnf(psi)) == psi
+
+
+def _reference_serialize(phi: CnfFormula) -> str:
+    """The writer serialize_cnf replaced: one join per clause."""
+    lines = [f"p cnf {phi.num_vars} {len(phi.clauses)}"]
+    lines.extend(" ".join(map(str, cl)) + " 0" for cl in phi.clauses)
+    return "\n".join(lines) + "\n"
+
+
+def test_serialize_matches_reference_writer():
+    rng = random.Random(25)
+    contradiction = CnfFormula.make(3, itertools.product((1, -1), (2, -2), (3, -3)))
+    formulas = [
+        CnfFormula(0, ()),
+        CnfFormula(7, ()),
+        CnfFormula.make(3, [(1,), (-3,), (2,)]),
+        CnfFormula.make(5, [(1,), (-2, 3), (5, -4, 1, 2, -3), (4,), (-1, -5)]),
+        blow_up(contradiction, 2),
+        hardness_chain(2, contradiction),
+    ]
+    formulas += [random_cnf(rng, max_vars=40, max_clauses=12, max_width=7) for _ in range(300)]
+    for phi in formulas:
+        assert serialize_cnf(phi) == _reference_serialize(phi)
+
+
+def test_parse_memory_within_line_walker():
+    """The bulk reader tokenises a block of lines at a time, so its peak stays
+    near the line walker's, which holds every line of the text at once."""
+    contradiction = CnfFormula.make(3, itertools.product((1, -1), (2, -2), (3, -3)))
+    psi = hardness_chain(3, contradiction)
+    text = serialize_cnf(psi)
+    assert len(psi.clauses) == 32_768
+    peaks = {}
+    for parse in (parse_cnf, sat._parse_lines):
+        tracemalloc.start()
+        try:
+            assert parse(text) == psi
+            peaks[parse.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["parse_cnf"] <= 1.2 * peaks["_parse_lines"], peaks
 
 
 def test_is_satisfiable_examples():

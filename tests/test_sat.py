@@ -108,25 +108,41 @@ def test_parse_stream_round_trips_through_serialize():
     assert parse_cnf(serialize_cnf(phi)) == phi
 
 
+# (text, the case's name in the test id, the full error message)
+_PARSE_ERRORS = [
+    ("p cnf 1 1\n2 0\n", "out of range", "line 2: variable out of range '2 0'"),
+    ("p cnf 1 1\n-2 0\n", "out of range", "line 2: variable out of range '-2 0'"),
+    ("p cnf 2 1\n1 2\n", "missing terminating 0", "line 2: missing terminating 0 '1 2'"),
+    ("1 0\n", "before header", "line 1: clause before header '1 0'"),
+    ("p cnf 2 1\np cnf 2 1\n1 0\n", "duplicate header", "line 2: duplicate header 'p cnf 2 1'"),
+    ("p edge 2 1\n1 0\n", "malformed header", "line 1: malformed header 'p edge 2 1'"),
+    ("p cnf x 1\n1 0\n", "malformed header", "line 1: malformed header 'p cnf x 1'"),
+    ("p cnf 2 2\n1 0\n", "announced 2 clauses", "header announced 2 clauses, found 1"),
+    ("p cnf 2 1\n1 z 0\n", "malformed clause", "line 2: malformed clause '1 z 0'"),
+    (
+        "p cnf 2 1\n1 0 2 0\n",
+        "stray 0",
+        "line 2: stray 0 closes clause 2 of 1 announced '1 0 2 0'",
+    ),
+    ("p cnf 2 1\n0\n", "empty clause", "line 2: empty clause '0'"),
+    (
+        "p cnf 2 2\n1 0\n2\n%\n0\n",
+        "line 3: missing terminating 0",
+        "line 3: missing terminating 0 '2'",
+    ),
+    (
+        "p cnf 2 2\n1 0\n\n2 3 0\n",
+        "line 4: variable out of range",
+        "line 4: variable out of range '2 3 0'",
+    ),
+    ("", "missing 'p cnf' header", "missing 'p cnf' header"),
+    ("p cnf -1 0\n", "negative counts", "line 1: negative counts 'p cnf -1 0'"),
+]
+
+
 @pytest.mark.parametrize(
     "text,message",
-    [
-        ("p cnf 1 1\n2 0\n", "line 2: variable out of range '2 0'"),
-        ("p cnf 1 1\n-2 0\n", "line 2: variable out of range '-2 0'"),
-        ("p cnf 2 1\n1 2\n", "line 2: missing terminating 0 '1 2'"),
-        ("1 0\n", "line 1: clause before header '1 0'"),
-        ("p cnf 2 1\np cnf 2 1\n1 0\n", "line 2: duplicate header 'p cnf 2 1'"),
-        ("p edge 2 1\n1 0\n", "line 1: malformed header 'p edge 2 1'"),
-        ("p cnf x 1\n1 0\n", "line 1: malformed header 'p cnf x 1'"),
-        ("p cnf 2 2\n1 0\n", "header announced 2 clauses, found 1"),
-        ("p cnf 2 1\n1 z 0\n", "line 2: malformed clause '1 z 0'"),
-        ("p cnf 2 1\n1 0 2 0\n", "line 2: stray 0 closes clause 2 of 1 announced '1 0 2 0'"),
-        ("p cnf 2 1\n0\n", "line 2: empty clause '0'"),
-        ("p cnf 2 2\n1 0\n2\n%\n0\n", "line 3: missing terminating 0 '2'"),
-        ("p cnf 2 2\n1 0\n\n2 3 0\n", "line 4: variable out of range '2 3 0'"),
-        ("", "missing 'p cnf' header"),
-        ("p cnf -1 0\n", "line 1: negative counts 'p cnf -1 0'"),
-    ],
+    [pytest.param(text, message, id=f"{text}-{name}") for text, name, message in _PARSE_ERRORS],
 )
 def test_parse_errors(text, message):
     with pytest.raises(ParseError) as caught:

@@ -61,6 +61,15 @@ def blow_up(phi: CnfFormula, s: int, *, clause_budget: int | None = None) -> Cnf
             f"blow-up would emit one clause of {s * phi.width} literals, over the budget of {budget}"
         )
     n = phi.num_vars
+    if m <= 1:
+        # the product of no clauses is empty, and of one clause it is that
+        # clause renamed into every copy in turn: built once here, where the
+        # fold below would rebuild the growing clause at each of its s steps
+        copies = range(s) if phi.width else ()  # an empty clause stays empty
+        product = [
+            tuple(lit + i * n if lit > 0 else lit - i * n for i in copies for lit in cl) for cl in phi.clauses
+        ]
+        return CnfFormula(s * n, tuple(product))
     # extend every partial product by every clause of the next copy, so the
     # product keeps its lexicographic order with copy 0 most significant
     out: list[tuple[int, ...]] = [()]

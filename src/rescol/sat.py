@@ -1,13 +1,12 @@
 """CNF formulas, DIMACS CNF I/O, an exact solver, and restriction resilience.
 
 Variables are positive integers 1..num_vars; a literal is a signed variable.
-DIMACS text is read in bulk when only clauses follow its header: the lines
-are split into integer tokens a block at a time and cut at the zeros.  Any
-other text (comments after the header, the "%" trailer, a malformed or
-out-of-range token, a wrong clause count) is read by a line walker that
-accepts exactly the same texts and names the offending line in its errors.
-Formulas are written one line per clause through a format string built once
-per clause width.
+DIMACS text is read in one pass.  After the header, each block of lines is
+split into integer tokens and cut at the zeros in bulk; a block the bulk step
+cannot take whole (a comment, the "%" trailer, a bad or out-of-range token,
+an empty or surplus clause) is walked line by line instead, so errors name
+the offending line.  Formulas are written one line per clause through a
+format string built once per clause width.
 A formula survives a restriction when it stays satisfiable after the
 restricted variables are pinned to their values.  It is r-resilient when it
 survives every restriction of exactly r variables.
@@ -126,7 +125,7 @@ class SatResilienceVerdict:
     restrictions_checked: int
 
 
-# lines of clause text tokenised at a time by the bulk reader
+# lines of clause text tokenised at a time after the header
 _BLOCK_LINES = 256
 
 
@@ -138,121 +137,92 @@ def parse_cnf(text: str) -> CnfFormula:
     are comments, and a line starting with "%" ends the input (the SATLIB
     trailer).  Literal order inside clauses is preserved.
 
-    A text whose header is followed only by integer tokens (and blank
-    lines), with every literal in range, every clause non-empty and closed
-    and exactly m clauses, is read in bulk: its lines are split into tokens
-    a block at a time and cut into clauses at the zeros.  Every other text
-    (a comment or a second "p" line after the header, the "%" trailer, a
-    bad token, a count that does not match) goes to the line walker, which
-    accepts exactly the same texts and names the offending line in its
-    errors.
+    One pass reads the lines in order.  Up to and including the header they
+    are walked one at a time.  After it, each block of ``_BLOCK_LINES`` lines
+    is read in bulk: split into integer tokens, range-checked as a whole and
+    cut into clauses at the zeros.  A block the bulk step cannot take whole
+    (a comment, the "%" trailer, a second header, a bad token, an
+    out-of-range literal, an empty clause or a clause past the announced
+    count) is rolled back and walked line by line, so every error names the
+    offending line.
     """
-    phi = _parse_bulk(text)
-    return _parse_lines(text) if phi is None else phi
-
-
-def _parse_header(lineno: int, line: str, fields: list[str]) -> tuple[int, int]:
-    """(num_vars, clauses) of a "p" line's fields, or a ParseError."""
-    if len(fields) != 4 or fields[1] != "cnf":
-        raise ParseError(f"line {lineno}: malformed header {line!r}")
-    try:
-        num_vars, expected = int(fields[2]), int(fields[3])
-    except ValueError:
-        raise ParseError(f"line {lineno}: malformed header {line!r}") from None
-    if num_vars < 0 or expected < 0:
-        raise ParseError(f"line {lineno}: negative counts {line!r}")
-    return num_vars, expected
-
-
-def _parse_bulk(text: str) -> CnfFormula | None:
-    """The formula of a text that has only clauses after its header, or None.
-
-    None means the line walker must decide: it either reads a text this
-    pass turned down (comments, the trailer) or raises the error for it.
-    """
-    if "%" in text:
-        # a SATLIB trailer ends the text, where a block would find it last
-        return None
     lines = text.splitlines()
-    for header, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line and not line.startswith("c"):
-            break
-    else:
-        return None
-    fields = line.split()
-    if fields[0] != "p":
-        return None
-    try:
-        num_vars, expected = _parse_header(header, line, fields)
-    except ParseError:
-        return None
+    num_vars = expected = None
     clauses: list[Clause] = []
-    lits: list[int] = []  # the open clause carried from block to block
-    # the header's 1-based line number is the 0-based index of the line after it
-    for start in range(header, len(lines), _BLOCK_LINES):
-        try:
-            lits.extend(map(int, " ".join(lines[start : start + _BLOCK_LINES]).split()))
-        except ValueError:
-            return None
-        if lits and (max(lits) > num_vars or min(lits) < -num_vars):
-            return None
-        pos = 0
-        for _ in range(lits.count(0)):
-            end = lits.index(0, pos)
-            if end == pos:  # an empty clause or a stray 0
-                return None
-            clauses.append(tuple(lits[pos:end]))
-            pos = end + 1
-        lits = lits[pos:]
-    if lits or len(clauses) != expected:
-        return None
-    return CnfFormula(num_vars, tuple(clauses))
-
-
-def _parse_lines(text: str) -> CnfFormula:
-    """parse_cnf one line at a time; its errors name the offending line."""
-    num_vars = None
-    expected = None
-    clauses: list[Clause] = []
-    body: list[int] = []
-    last = (0, "")  # the last clause line, named when its clause stays open
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("%"):
-            break
-        fields = line.split()
-        if fields[0] == "p":
-            if num_vars is not None:
-                raise ParseError(f"line {lineno}: duplicate header {line!r}")
-            num_vars, expected = _parse_header(lineno, line, fields)
-            continue
+    body: list[int] = []  # the open clause, carried from line to line and block to block
+    start, end = 0, len(lines)  # end drops to a "%" line, where the input stops
+    while start < end:
         if num_vars is None:
-            raise ParseError(f"line {lineno}: clause before header {line!r}")
-        try:
-            lits = [int(tok) for tok in fields]
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed clause {line!r}") from None
-        for lit in lits:
-            if lit:
-                if abs(lit) > num_vars:
-                    raise ParseError(f"line {lineno}: variable out of range {line!r}")
-                body.append(lit)
-            elif not body:
-                raise ParseError(f"line {lineno}: empty clause {line!r}")
-            elif len(clauses) == expected:
-                raise ParseError(
-                    f"line {lineno}: stray 0 closes clause {expected + 1} "
-                    f"of {expected} announced {line!r}"
-                )
-            else:
-                clauses.append(tuple(body))
-                body = []
-        last = (lineno, line)
+            stop = start + 1
+        else:
+            stop, mark, taken = start + _BLOCK_LINES, len(clauses), True
+            try:
+                lits = [*body, *map(int, " ".join(lines[start:stop]).split())]
+            except ValueError:  # a comment, "%", a second header or a bad token
+                lits, taken = [], False
+            if lits and (max(lits) > num_vars or min(lits) < -num_vars):
+                taken = False
+            pos = 0
+            for _ in range(lits.count(0) if taken else 0):
+                cut = lits.index(0, pos)
+                if cut == pos:  # an empty clause
+                    taken = False
+                    break
+                clauses.append(tuple(lits[pos:cut]))
+                pos = cut + 1
+            if taken and len(clauses) <= expected:
+                body = lits[pos:]
+                start = stop
+                continue
+            del clauses[mark:]  # the walk below starts where the block did; body is untouched
+        for lineno in range(start + 1, min(stop, end) + 1):
+            line = lines[lineno - 1].strip()
+            if not line or line.startswith("c"):
+                continue
+            if line.startswith("%"):
+                end = lineno - 1
+                break
+            fields = line.split()
+            if fields[0] == "p":
+                if num_vars is not None:
+                    raise ParseError(f"line {lineno}: duplicate header {line!r}")
+                if len(fields) != 4 or fields[1] != "cnf":
+                    raise ParseError(f"line {lineno}: malformed header {line!r}")
+                try:
+                    num_vars, expected = int(fields[2]), int(fields[3])
+                except ValueError:
+                    raise ParseError(f"line {lineno}: malformed header {line!r}") from None
+                if num_vars < 0 or expected < 0:
+                    raise ParseError(f"line {lineno}: negative counts {line!r}")
+                continue
+            if num_vars is None:
+                raise ParseError(f"line {lineno}: clause before header {line!r}")
+            try:
+                lits = [int(tok) for tok in fields]
+            except ValueError:
+                raise ParseError(f"line {lineno}: malformed clause {line!r}") from None
+            for lit in lits:
+                if lit:
+                    if abs(lit) > num_vars:
+                        raise ParseError(f"line {lineno}: variable out of range {line!r}")
+                    body.append(lit)
+                elif not body:
+                    raise ParseError(f"line {lineno}: empty clause {line!r}")
+                elif len(clauses) == expected:
+                    raise ParseError(
+                        f"line {lineno}: stray 0 closes clause {expected + 1} "
+                        f"of {expected} announced {line!r}"
+                    )
+                else:
+                    clauses.append(tuple(body))
+                    body = []
+        start = stop
     if body:
-        raise ParseError(f"line {last[0]}: missing terminating 0 {last[1]!r}")
+        # the open clause's last line is the last one read that is neither
+        # blank nor a comment
+        while not (line := lines[end - 1].strip()) or line.startswith("c"):
+            end -= 1
+        raise ParseError(f"line {end}: missing terminating 0 {line!r}")
     if num_vars is None:
         raise ParseError("missing 'p cnf' header")
     if expected != len(clauses):

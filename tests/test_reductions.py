@@ -96,6 +96,15 @@ def test_blow_up_budget():
     assert len(out.clauses) == 1 and len(out.clauses[0]) == 99
 
 
+def test_blow_up_work_follows_its_output():
+    """With no clause or one, the product is built directly: a huge s costs
+    no loop over the copies, and a wide clause no rebuild per copy."""
+    assert blow_up(CnfFormula(3, ()), 10**12) == CnfFormula(3 * 10**12, ())
+    assert blow_up(CnfFormula.make(1, [(1,)]), 10**6).clauses == (tuple(range(1, 10**6 + 1)),)
+    # an empty clause, which only a restriction makes, stays empty
+    assert blow_up(CnfFormula(2, ((),)), 10**12) == CnfFormula(2 * 10**12, ((),))
+
+
 def test_blow_up_equisatisfiable():
     rng = random.Random(40)
     for _ in range(100):

@@ -150,6 +150,7 @@ def test_parse_errors(text, message):
     assert str(caught.value) == message
 
 
+_DEFAULT_BLOCK_LINES = sat._BLOCK_LINES
 _LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85")
 # int() reads the first four as -0, 0, 1 and 10, and U+0661 (Arabic-Indic
 # one) as 1; the rest are no integers at all
@@ -205,11 +206,96 @@ def _random_dimacs(rng: random.Random) -> str:
     return text if rng.random() < 0.8 else text.rstrip("\r\n")
 
 
+def _reference_header(lineno: int, line: str, fields: list[str]) -> tuple[int, int]:
+    """(num_vars, clauses) of a "p" line's fields, or a ParseError."""
+    if len(fields) != 4 or fields[1] != "cnf":
+        raise ParseError(f"line {lineno}: malformed header {line!r}")
+    try:
+        num_vars, expected = int(fields[2]), int(fields[3])
+    except ValueError:
+        raise ParseError(f"line {lineno}: malformed header {line!r}") from None
+    if num_vars < 0 or expected < 0:
+        raise ParseError(f"line {lineno}: negative counts {line!r}")
+    return num_vars, expected
+
+
+def _reference_parse(text: str) -> CnfFormula:
+    """The line walker parse_cnf replaced: one line at a time, every error
+    naming the offending line."""
+    num_vars = None
+    expected = None
+    clauses: list[tuple[int, ...]] = []
+    body: list[int] = []
+    last = (0, "")  # the last clause line, named when its clause stays open
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("%"):
+            break
+        fields = line.split()
+        if fields[0] == "p":
+            if num_vars is not None:
+                raise ParseError(f"line {lineno}: duplicate header {line!r}")
+            num_vars, expected = _reference_header(lineno, line, fields)
+            continue
+        if num_vars is None:
+            raise ParseError(f"line {lineno}: clause before header {line!r}")
+        try:
+            lits = [int(tok) for tok in fields]
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed clause {line!r}") from None
+        for lit in lits:
+            if lit:
+                if abs(lit) > num_vars:
+                    raise ParseError(f"line {lineno}: variable out of range {line!r}")
+                body.append(lit)
+            elif not body:
+                raise ParseError(f"line {lineno}: empty clause {line!r}")
+            elif len(clauses) == expected:
+                raise ParseError(
+                    f"line {lineno}: stray 0 closes clause {expected + 1} "
+                    f"of {expected} announced {line!r}"
+                )
+            else:
+                clauses.append(tuple(body))
+                body = []
+        last = (lineno, line)
+    if body:
+        raise ParseError(f"line {last[0]}: missing terminating 0 {last[1]!r}")
+    if num_vars is None:
+        raise ParseError("missing 'p cnf' header")
+    if expected != len(clauses):
+        raise ParseError(f"header announced {expected} clauses, found {len(clauses)}")
+    return CnfFormula(num_vars, tuple(clauses))
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
     except ParseError as exc:
         return str(exc)
+
+
+def _walks_a_block(text: str) -> bool:
+    """Whether parse_cnf walks some block of a text it reads: a token after
+    the header that is no integer (a comment, the "%" trailer, what follows
+    the trailer)."""
+    lines = text.splitlines()
+    header = next(i for i, raw in enumerate(lines) if raw.strip()[:1] not in ("", "c"))
+    for tok in " ".join(lines[header + 1 :]).split():
+        try:
+            int(tok)
+        except ValueError:
+            return True
+    return False
+
+
+_ERROR_KINDS = {
+    "variable out of range", "missing terminating 0", "clause before header",
+    "duplicate header", "malformed header", "negative counts", "malformed clause",
+    "stray 0", "empty clause", "header announced", "missing 'p cnf' header",
+}
 
 
 def test_parse_matches_line_walker(monkeypatch):
@@ -218,24 +304,95 @@ def test_parse_matches_line_walker(monkeypatch):
     Small blocks make clauses span block boundaries on every few lines.
     """
     rng = random.Random(24)
-    tally = {"bulk": 0, "walker only": 0}
-    kinds = {
-        "variable out of range", "missing terminating 0", "clause before header",
-        "duplicate header", "malformed header", "negative counts", "malformed clause",
-        "stray 0", "empty clause", "header announced", "missing 'p cnf' header",
-    }
+    tally = {"read whole in bulk": 0, "some block walked": 0}
     seen = set()
     for _ in range(20_000):
         text = _random_dimacs(rng)
-        monkeypatch.setattr(sat, "_BLOCK_LINES", rng.choice((1, 2, 3, 1024)))
-        expected = _outcome(sat._parse_lines, text)
+        monkeypatch.setattr(sat, "_BLOCK_LINES", rng.choice((1, 2, 3, 1024, _DEFAULT_BLOCK_LINES)))
+        expected = _outcome(_reference_parse, text)
         assert _outcome(parse_cnf, text) == expected, repr(text)
         if isinstance(expected, CnfFormula):
-            tally["bulk" if sat._parse_bulk(text) is not None else "walker only"] += 1
+            tally["some block walked" if _walks_a_block(text) else "read whole in bulk"] += 1
         else:
-            seen |= {kind for kind in kinds if kind in expected}
-    assert seen == kinds
+            seen |= {kind for kind in _ERROR_KINDS if kind in expected}
+    assert seen == _ERROR_KINDS
     assert min(tally.values()) > 2_000, tally
+
+
+def _long_dimacs(rng: random.Random) -> str:
+    """A DIMACS text longer than one default block, with comments, blank
+    lines, a "%" trailer or one piece of damage placed anywhere in its body."""
+    n = rng.randint(1, 30)
+    lines = []
+    for _ in range(rng.randint(_DEFAULT_BLOCK_LINES + 1, 4 * _DEFAULT_BLOCK_LINES)):
+        tokens = [str(rng.choice((1, -1)) * rng.randint(1, n)) for _ in range(rng.randint(1, 4))] + ["0"]
+        roll = rng.random()
+        if roll < 0.1:  # the clause spans two lines
+            cut = rng.randint(1, len(tokens) - 1)
+            lines += [" ".join(tokens[:cut]), " ".join(tokens[cut:])]
+        elif roll < 0.2 and lines:  # the clause shares a line
+            lines[-1] += " " + " ".join(tokens)
+        else:
+            lines.append(" ".join(tokens))
+
+    def closed(part: list[str]) -> int:
+        """The clauses that the zeros of part of the body close."""
+        return sum(line.split().count("0") for line in part if not line.lstrip().startswith("c"))
+
+    def anywhere() -> int:
+        return rng.randint(0, len(lines))
+
+    announced = closed(lines)
+    for _ in range(rng.randint(0, 4)):
+        lines.insert(anywhere(), rng.choice(("", " ", "c a comment", "  c indented", "cnf 1 0")))
+    kind = rng.randrange(9)  # kinds 0 and 8 add nothing
+    if kind == 1:  # the trailer, mostly with the count of the clauses before it
+        at = anywhere()
+        lines[at:] = ["%", *rng.choice(([], ["0"], ["x y", "1 2"]))] + lines[at:]
+        if rng.random() < 0.7:
+            announced = closed(lines[:at])
+    elif kind == 2:
+        at = rng.randrange(len(lines))
+        lines[at] = f"{lines[at]} {rng.choice(_ODD_TOKENS)} 0"
+    elif kind == 3:
+        at = rng.randrange(len(lines))
+        lines[at] = f"{rng.choice((1, -1)) * (n + 1)} {lines[at]}"
+    elif kind == 4:  # an empty clause, or a 0 that closes a clause early
+        lines.insert(anywhere(), "0")
+    elif kind == 5:  # a stray 0, or a clause too few
+        announced += rng.choice((-1, 1))
+    elif kind == 6:  # two clauses merged, or the last one left open
+        at = rng.choice([i for i, line in enumerate(lines) if closed([line])])
+        tokens = lines[at].split()
+        del tokens[len(tokens) - 1 - tokens[::-1].index("0")]
+        lines[at] = " ".join(tokens)
+    elif kind == 7:
+        lines.insert(anywhere(), f"p cnf {n} {announced}")
+    head = [rng.choice(("c long", "", "c")) for _ in range(rng.randint(0, 2))]
+    breaks = rng.choice((("\n",), _LINE_BREAKS))
+    return "".join(line + rng.choice(breaks) for line in [*head, f"p cnf {n} {announced}", *lines])
+
+
+def test_parse_long_texts_match_line_walker():
+    """Texts of several default blocks agree with the line walker, with the
+    comments, trailer or damage landing mid-body, in a block the bulk step
+    rejects between blocks it takes."""
+    assert sat._BLOCK_LINES == _DEFAULT_BLOCK_LINES
+    rng = random.Random(25)
+    formulas, seen = 0, set()
+    for _ in range(200):
+        text = _long_dimacs(rng)
+        expected = _outcome(_reference_parse, text)
+        assert _outcome(parse_cnf, text) == expected, repr(text)
+        if isinstance(expected, CnfFormula):
+            formulas += 1
+        else:
+            seen |= {kind for kind in _ERROR_KINDS if kind in expected}
+    assert formulas > 30
+    # every error a clause line can raise; the rest come from the header
+    assert seen == _ERROR_KINDS - {
+        "clause before header", "malformed header", "negative counts", "missing 'p cnf' header",
+    }, seen
 
 
 def test_serialize_exact():
@@ -286,22 +443,36 @@ def test_serialize_matches_reference_writer():
         assert serialize_cnf(phi) == _reference_serialize(phi)
 
 
-def test_parse_memory_within_line_walker():
-    """The bulk reader tokenises a block of lines at a time, so its peak stays
-    near the line walker's, which holds every line of the text at once."""
+def _chain_text() -> tuple[CnfFormula, str]:
+    """hardness_chain(3) of the 3-variable contradiction and its DIMACS text."""
     contradiction = CnfFormula.make(3, itertools.product((1, -1), (2, -2), (3, -3)))
     psi = hardness_chain(3, contradiction)
-    text = serialize_cnf(psi)
     assert len(psi.clauses) == 32_768
+    return psi, serialize_cnf(psi)
+
+
+def test_parse_memory_within_line_walker():
+    """The reader tokenises a block of lines at a time, so its peak stays
+    near the line walker's, which holds every line of the text at once."""
+    psi, text = _chain_text()
     peaks = {}
-    for parse in (parse_cnf, sat._parse_lines):
+    for parse in (parse_cnf, _reference_parse):
         tracemalloc.start()
         try:
             assert parse(text) == psi
             peaks[parse.__name__] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks["parse_cnf"] <= 1.2 * peaks["_parse_lines"], peaks
+    assert peaks["parse_cnf"] <= 1.2 * peaks["_reference_parse"], peaks
+
+
+def test_parse_comment_after_last_clause():
+    """A comment after the last clause, or one mid-body and the "%" trailer,
+    leave the formula of the plain text."""
+    psi, text = _chain_text()
+    assert parse_cnf(text + "c done\n") == psi
+    half = text.index("\n", len(text) // 2) + 1
+    assert parse_cnf("c start\n" + text[:half] + "c mid\n" + text[half:] + "%\n0\n") == psi
 
 
 def test_is_satisfiable_examples():

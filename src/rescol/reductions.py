@@ -69,7 +69,7 @@ def blow_up(phi: CnfFormula, s: int, *, clause_budget: int | None = None) -> Cnf
         product = [
             tuple(lit + i * n if lit > 0 else lit - i * n for i in copies for lit in cl) for cl in phi.clauses
         ]
-        return CnfFormula(s * n, tuple(product))
+        return CnfFormula._built(s * n, tuple(product))
     # extend every partial product by every clause of the next copy, so the
     # product keeps its lexicographic order with copy 0 most significant
     out: list[tuple[int, ...]] = [()]
@@ -77,7 +77,7 @@ def blow_up(phi: CnfFormula, s: int, *, clause_budget: int | None = None) -> Cnf
         offset = i * n
         copy = [tuple(lit + offset if lit > 0 else lit - offset for lit in cl) for cl in phi.clauses]
         out = [head + cl for head in out for cl in copy]
-    return CnfFormula(s * n, tuple(out))
+    return CnfFormula._built(s * n, tuple(out))
 
 
 def shrink_down(phi: CnfFormula) -> CnfFormula:
@@ -100,7 +100,7 @@ def shrink_down(phi: CnfFormula) -> CnfFormula:
         half = (len(cl) + 1) // 2
         out.append(tuple(cl[:half]) + (z,))
         out.append(tuple(cl[half:]) + (-z,))
-    return CnfFormula(n + len(phi.clauses), tuple(out))
+    return CnfFormula._built(n + len(phi.clauses), tuple(out))
 
 
 def _exact_three_cnf(phi: CnfFormula) -> CnfFormula:
@@ -120,7 +120,7 @@ def _exact_three_cnf(phi: CnfFormula) -> CnfFormula:
             fresh += 1
             clauses = [c + (sign * fresh,) for c in clauses for sign in (1, -1)]
         out.extend(clauses)
-    return CnfFormula(fresh, tuple(out))
+    return CnfFormula._built(fresh, tuple(out))
 
 
 def _pad_to_width(phi: CnfFormula, width: int) -> CnfFormula:
@@ -137,7 +137,7 @@ def _pad_to_width(phi: CnfFormula, width: int) -> CnfFormula:
             assert pad <= len(cl) and pad <= width // 2, "pad would break half separation"
             cl = cl + cl[:pad]
         out.append(cl)
-    return CnfFormula(phi.num_vars, tuple(out))
+    return CnfFormula._built(phi.num_vars, tuple(out))
 
 
 # Post-expansion clause width to start shrinking from, chosen so repeated

@@ -42,7 +42,19 @@ class GraphResilienceVerdict:
 
 
 def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of mask, ascending."""
+    """Indices of the set bits of mask, ascending.
+
+    Up to 256 bits the low bit is cleared one step at a time.  Each step
+    copies the int, so a longer mask is read off ``bin(mask)`` from its end
+    instead, in time linear in its length."""
+    if mask >> 256:
+        digits = bin(mask)
+        top = len(digits) - 1
+        i = digits.rfind("1")
+        while i > 0:
+            yield top - i
+            i = digits.rfind("1", 0, i)
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -253,7 +265,9 @@ def _coloring_certifier(
         colors = _solve_masks(nbrs, k)
         if colors is None:
             return None
-        return sum(1 << i for i, (u, v) in enumerate(candidates) if colors[u] != colors[v])
+        # one digit per candidate, the last candidate first
+        digits = ["1" if colors[u] != colors[v] else "0" for u, v in reversed(candidates)]
+        return int("".join(digits) or "0", 2)
 
     return solve
 

@@ -1,6 +1,9 @@
 """CNF formulas, DIMACS CNF I/O, an exact solver, and restriction resilience.
 
 Variables are positive integers 1..num_vars; a literal is a signed variable.
+A formula's literals are range-checked once, where it enters the library:
+by the ``CnfFormula`` constructor, or by ``parse_cnf`` as it reads them.
+Formulas the library derives from checked ones are built unchecked.
 DIMACS text is read in one pass.  After the header, each block of lines is
 split into integer tokens and cut at the zeros in bulk; a block the bulk step
 cannot take whole (a comment, the "%" trailer, a bad or out-of-range token,
@@ -36,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Reversible
 
 from .graphs import InputError, ParseError
 from .resilience import (
@@ -53,7 +56,15 @@ Assignment = dict[int, bool]
 
 @dataclass(frozen=True)
 class CnfFormula:
-    """An immutable CNF formula: clause tuples over variables 1..num_vars."""
+    """An immutable CNF formula: clause tuples over variables 1..num_vars.
+
+    A formula is checked once, where it enters the library: the constructor
+    and ``make`` reject a negative ``num_vars``, literal 0 and literals out
+    of range.  Formulas the library derives from checked ones (the
+    reductions, ``is_satisfiable``'s eliminated core) and the formulas
+    ``parse_cnf`` has range-checked itself are built by ``_built``, which
+    skips that per-literal loop.
+    """
 
     num_vars: int
     clauses: tuple[Clause, ...]
@@ -67,6 +78,15 @@ class CnfFormula:
                     raise ValueError(f"literal {lit} out of range for num_vars={self.num_vars}")
 
     @classmethod
+    def _built(cls, num_vars: int, clauses: tuple[Clause, ...]) -> CnfFormula:
+        """A formula whose literals are already known to lie in 1..num_vars
+        up to sign, made without the constructor's check."""
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "num_vars", num_vars)
+        object.__setattr__(phi, "clauses", clauses)
+        return phi
+
+    @classmethod
     def make(cls, num_vars: int, clauses: Iterable[Iterable[int]]) -> CnfFormula:
         """Public constructor; rejects empty clauses (they only arise by restriction)."""
         tupled = tuple(tuple(cl) for cl in clauses)
@@ -77,11 +97,11 @@ class CnfFormula:
     @cached_property
     def width(self) -> int:
         """Length of the longest clause (0 for a formula with no clauses)."""
-        return max((len(cl) for cl in self.clauses), default=0)
+        return max(map(len, self.clauses), default=0)
 
     @property
     def has_empty_clause(self) -> bool:
-        return any(len(cl) == 0 for cl in self.clauses)
+        return not all(self.clauses)
 
     def variables(self) -> tuple[int, ...]:
         """Variables that occur in at least one clause, ascending."""
@@ -227,7 +247,7 @@ def parse_cnf(text: str) -> CnfFormula:
         raise ParseError("missing 'p cnf' header")
     if expected != len(clauses):
         raise ParseError(f"header announced {expected} clauses, found {len(clauses)}")
-    return CnfFormula(num_vars, tuple(clauses))
+    return CnfFormula._built(num_vars, tuple(clauses))
 
 
 def serialize_cnf(phi: CnfFormula) -> str:
@@ -486,7 +506,7 @@ def _eliminate_top(phi: CnfFormula) -> tuple[CnfFormula, list[tuple[int, Clause 
                     where[lit] = None
                 clauses[held] = None
     core = tuple(cl for cl in clauses if cl is not None)
-    return CnfFormula(t, core), eliminated
+    return CnfFormula._built(t, core), eliminated
 
 
 def is_satisfiable(phi: CnfFormula) -> Assignment | None:
@@ -548,9 +568,11 @@ def restrict(phi: CnfFormula, rho: Restriction) -> CnfFormula:
     return CnfFormula(phi.num_vars, tuple(out))
 
 
-def _model_mask(model: Iterable[bool]) -> int:
+def _model_mask(model: Reversible[bool]) -> int:
     """The literals a model makes true, as a mask with bit 2*(variable-1) + value."""
-    return sum(1 << (2 * var + val) for var, val in enumerate(model))
+    # variable v's two bits read "10" when it is true and "01" when false,
+    # the last variable's pair first
+    return int("".join(["10" if val else "01" for val in reversed(model)]) or "0", 2)
 
 
 def _fixes(mask: int) -> list[tuple[int, bool]]:

@@ -41,6 +41,13 @@ def random_cnf(
     return CnfFormula(n, tuple(clauses))
 
 
+def assert_checked(phi: CnfFormula) -> None:
+    """phi, built without the constructor's range check, equals the formula
+    the checked constructor builds from its num_vars and its clauses, copied
+    as tuples: every literal is in range."""
+    assert phi == CnfFormula(phi.num_vars, tuple(map(tuple, phi.clauses)))
+
+
 def uniform_six_cnf(rng: random.Random, clauses: int) -> CnfFormula:
     """Clauses over exactly six distinct variables each, random polarity."""
     made = []

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import brute_satisfiable, random_cnf, uniform_six_cnf
+from conftest import assert_checked, brute_satisfiable, random_cnf, uniform_six_cnf
 from rescol.coloring import chromatic_number, is_k_colorable, validate_coloring
 from rescol.graphs import Graph
 from rescol import reductions
@@ -337,6 +337,35 @@ def test_hardness_chain_budget():
     two = CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3)])
     with pytest.raises(BudgetExceededError, match="shrink step would emit 16"):
         hardness_chain(2, two, clause_budget=8)
+
+
+def test_reductions_build_formulas_the_constructor_accepts():
+    """The reductions build their outputs without the constructor's range
+    check; on seeded random inputs every output passes it unchanged."""
+    rng = random.Random(47)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        # m = 0, 1 and >= 2 clauses, an empty clause now and then
+        phi = random_cnf(rng, max_vars=n, max_clauses=3)
+        inputs = [CnfFormula(n, ()), CnfFormula(n, phi.clauses[:1]), phi, CnfFormula(n, ((),))]
+        for psi in inputs:
+            for s in (1, 2, 3):
+                assert_checked(blow_up(psi, s))
+            assert_checked(reductions._exact_three_cnf(psi))
+        wide = random_cnf(rng, max_vars=6, max_clauses=4, max_width=6)
+        if wide.width >= 2:
+            assert_checked(shrink_down(wide))
+        # every clause at least half the target width, as the pad requires
+        width = rng.randint(2, 8)
+        clauses = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint((width + 1) // 2, width)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        assert_checked(reductions._pad_to_width(CnfFormula(n, tuple(clauses)), width))
+    for r, clauses in ((2, 3), (3, 3), (4, 2)):
+        for _ in range(5):
+            phi3 = random_cnf(rng, max_vars=4, max_clauses=clauses, exact_width=True)
+            assert_checked(hardness_chain(r, phi3))
 
 
 # --------------------------------------------------------- six_cnf_to_graph

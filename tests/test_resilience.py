@@ -33,6 +33,28 @@ from rescol.resilience import (
 )
 
 
+def test_bits_matches_the_low_bit_loop():
+    """_bits gives the set bits that clearing the low bit one step at a
+    time gives, on both sides of its 256-bit switch: 0, one bit, masks just
+    under and over 256 bits, and masks over 100,000 bits."""
+
+    def low_bit_loop(mask):
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+
+    rng = random.Random(50)
+    masks = [0, 1, 2, 1 << 63, 1 << 255, 1 << 256, 1 << 100_000, (1 << 256) - 1, (1 << 257) - 1]
+    for size in (3, 36, 257, 1000):
+        masks += [rng.getrandbits(size) for _ in range(50)]
+    masks += [sum(1 << rng.randrange(100_003) for _ in range(2000)) for _ in range(3)]
+    for mask in masks:
+        assert list(resilience._bits(mask)) == low_bit_loop(mask)
+
+
 def test_petersen_2_3_resilient():
     verdict = is_r_resiliently_k_colorable(classic("petersen"), 2, 3)
     assert verdict.resilient and verdict.witness is None

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_checked,
     brute_satisfiable,
     canonical_masks,
     count_calls,
@@ -927,6 +928,7 @@ def test_eliminate_top_keeps_the_least_model():
     for _ in range(5000):
         phi, low = top_heavy_cnf(rng)
         core, eliminated = sat._eliminate_top(phi)
+        assert_checked(core)
         t = core.num_vars
         assert [v for v, _ in eliminated] == list(range(phi.num_vars, t, -1))
         eliminating += t < phi.num_vars
@@ -956,8 +958,10 @@ def test_eliminate_top_core_sizes():
     contradiction = CnfFormula.make(3, itertools.product((1, -1), (2, -2), (3, -3)))
     core, eliminated = sat._eliminate_top(hardness_chain(2, contradiction))
     assert (core.num_vars, len(core.clauses), len(eliminated)) == (9, 512, 3584)
+    assert_checked(core)
     core, eliminated = sat._eliminate_top(hardness_chain(2, CnfFormula.make(1, [(1,), (-1,)])))
     assert (core.num_vars, len(core.clauses), len(eliminated)) == (15, 512, 3584)
+    assert_checked(core)
     phi = CnfFormula.make(3, [(1, 3), (2, 3), (-3,)])
     core, eliminated = sat._eliminate_top(phi)
     assert core is phi and eliminated == []
@@ -992,6 +996,36 @@ def test_eliminate_top_on_chain_outputs():
         assert is_satisfiable(out) == expected
         seen["sat" if expected else "unsat"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_library_formulas_skip_the_literal_check(monkeypatch):
+    """A formula is checked once, where it enters the library: building the
+    r = 2 chain of the 3-variable contradiction, writing it, reading it
+    back and refuting it builds 11 formulas and runs the constructor's
+    check on none of them.  The public constructor and the reference
+    parser still run it."""
+    contradiction = CnfFormula.make(3, itertools.product((1, -1), (2, -2), (3, -3)))
+    calls = count_calls(monkeypatch, CnfFormula, "__post_init__")
+    psi = hardness_chain(2, contradiction)
+    assert is_satisfiable(parse_cnf(serialize_cnf(psi))) is None
+    assert calls == [0]
+    _reference_parse("p cnf 1 1\n1 0\n")
+    assert calls == [1]
+    with pytest.raises(ValueError, match="out of range"):
+        CnfFormula(1, ((2,),))
+    assert calls == [2]
+
+
+def test_model_mask_matches_the_shift_sum():
+    """_model_mask, built from one binary digit string, equals the plain
+    sum of shifted bits, from no variable to more than 100,000 bits."""
+    rng = random.Random(49)
+    for n in (0, 1, 2, 129, 50_001):
+        model = [rng.random() < 0.5 for _ in range(n)]
+        for values in (model, [False] * n, [True] * n):
+            expected = sum(1 << (2 * var + val) for var, val in enumerate(values))
+            assert sat._model_mask(values) == expected
+            assert sat._model_mask(dict(enumerate(values, start=1)).values()) == expected
 
 
 def test_zero_resilience_runs_is_satisfiable(monkeypatch):

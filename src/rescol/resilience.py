@@ -44,21 +44,15 @@ class GraphResilienceVerdict:
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, ascending.
 
-    Up to 256 bits the low bit is cleared one step at a time.  Each step
-    copies the int, so a longer mask is read off ``bin(mask)`` from its end
-    instead, in time linear in its length."""
-    if mask >> 256:
-        digits = bin(mask)
-        top = len(digits) - 1
-        i = digits.rfind("1")
-        while i > 0:
-            yield top - i
-            i = digits.rfind("1", 0, i)
-        return
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    They are read off ``bin(mask)`` from its end, in time linear in the
+    mask's length; clearing the low bit one step at a time would copy the
+    int at every step."""
+    digits = bin(mask)
+    top = len(digits) - 1
+    i = digits.rfind("1")
+    while i > 0:
+        yield top - i
+        i = digits.rfind("1", 0, i)
 
 
 class _CertificateStore:

@@ -3,7 +3,8 @@
 Variables are positive integers 1..num_vars; a literal is a signed variable.
 A formula's literals are range-checked once, where it enters the library:
 by the ``CnfFormula`` constructor, or by ``parse_cnf`` as it reads them.
-Formulas the library derives from checked ones are built unchecked.
+The reductions, ``parse_cnf`` and ``is_satisfiable``'s eliminated core build
+their formulas unchecked; ``restrict`` still checks its output.
 DIMACS text is read in one pass.  After the header, each block of lines is
 split into integer tokens and cut at the zeros in bulk; a block the bulk step
 cannot take whole (a comment, the "%" trailer, a bad or out-of-range token,

@@ -35,8 +35,8 @@ from rescol.resilience import (
 
 def test_bits_matches_the_low_bit_loop():
     """_bits gives the set bits that clearing the low bit one step at a
-    time gives, on both sides of its 256-bit switch: 0, one bit, masks just
-    under and over 256 bits, and masks over 100,000 bits."""
+    time gives: 0, one bit, masks of a few bits, masks just under and over
+    256 bits, and masks over 100,000 bits."""
 
     def low_bit_loop(mask):
         out = []

@@ -176,9 +176,12 @@ def _solve_masks(
     base = [(1 << k) - 1] * n  # per vertex: its colors before any prune
     for v, c in fixed.items():
         base[v] = 1 << c
+    degree = list(map(len, nbrs))
+    # a reverse sort is stable, so ties keep ascending index
     order = list(fixed) + sorted(
         (v for v in range(n) if v not in fixed),
-        key=lambda v: (-len(nbrs[v]), v),
+        key=degree.__getitem__,
+        reverse=True,
     )
     if not order:
         return ()
@@ -214,7 +217,7 @@ def _solve_masks(
                         wiped = u
                         break
             color[v] = c  # colored, so the forced-color step never prunes v
-            if k == 3 and wiped < 0:
+            if k == 3 and wiped < 0 and len(trail) > cut:
                 wiped = _force(trail[cut::2], nbrs, color, base, avail, why, trail)
             if wiped >= 0:
                 # the conflict first: the retract gives wiped its colors back

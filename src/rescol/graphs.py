@@ -3,12 +3,20 @@
 Graphs are immutable.  The set of (low, high) edge pairs answers edge
 queries; each graph also caches an ascending tuple of neighbors per vertex,
 which the coloring engine walks so a step costs the vertex's degree, not n.
+A graph is checked once, where it enters the library: ``Graph(...)`` and
+``Graph.from_edges`` check every pair, while the graphs the library makes
+from pairs it has already checked (``parse_graph``, ``add_edges``,
+``apex_extension`` and the reductions' gadget builder) skip that check.
+``parse_graph`` reads DIMACS edge text in one pass: the lines up to the
+header one at a time, then blocks of lines in bulk, walking line by line
+only a block the bulk step rejects, so every error still names its line.
 The package's two reported errors live here, where every module can import
 them: InputError (exit 2 in the command line) and BudgetExceededError (exit 3).
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -36,7 +44,15 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph: vertex count plus a set of (u, v) pairs, u < v."""
+    """A simple undirected graph: vertex count plus a set of (u, v) pairs, u < v.
+
+    A graph is checked once, where it enters the library: the constructor
+    and ``from_edges`` reject a negative ``n`` and every pair that is not
+    ordered or not in range.  The graphs ``parse_graph`` has range-checked
+    itself, the gadget builder's graphs, and those ``add_edges`` and
+    ``apex_extension`` derive from checked graphs are built by ``_built``,
+    which skips that per-edge loop.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
@@ -47,6 +63,15 @@ class Graph:
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+
+    @classmethod
+    def _built(cls, n: int, edges: frozenset[tuple[int, int]]) -> Graph:
+        """A graph whose pairs are already known to satisfy 0 <= u < v < n,
+        made without the constructor's check."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -60,7 +85,9 @@ class Graph:
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(vs)) for vs in nbrs)
+        for vs in nbrs:
+            vs.sort()
+        return tuple(map(tuple, nbrs))
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
@@ -78,52 +105,100 @@ class Graph:
         return max(self.degrees(), default=0)
 
 
+_BLOCK_LINES = 256
+
+
+def _read_block(lines: list[str], n: int) -> list[tuple[int, int]] | None:
+    """The ordered 0-indexed pairs of a block of lines that are all edge
+    lines "e u v" with 1 <= u, v <= n and u != v, or None.
+
+    Every line but the first gets a " |" marker, so a line is read as its
+    tokens "e" (or "|e"), u and v only if it has exactly those: a token of
+    one line never pairs with a token of the next.
+    """
+    tokens = " |".join(lines).split()
+    if len(tokens) != 3 * len(lines) or tokens[0] != "e" or tokens[3::3].count("|e") != len(lines) - 1:
+        return None
+    try:
+        us = list(map(int, tokens[1::3]))
+        vs = list(map(int, tokens[2::3]))
+    except ValueError:
+        return None
+    if min(min(us), min(vs)) < 1 or max(max(us), max(vs)) > n or any(map(operator.eq, us, vs)):
+        return None
+    return [(u - 1, v - 1) if u < v else (v - 1, u - 1) for u, v in zip(us, vs)]
+
+
 def parse_graph(text: str) -> Graph:
     """Read a DIMACS edge-format graph ("p edge n m" header, "e u v" lines, 1-indexed).
 
     Comment lines starting with "c" and blank lines are skipped.  Duplicate
     edges are deduplicated.  Malformed headers, negative counts, endpoints
     out of range, and self-loops raise ParseError naming the line.
+
+    One pass reads the lines in order.  Up to and including the header they
+    are walked one at a time.  After it, each block of ``_BLOCK_LINES`` lines
+    is read in bulk by ``_read_block``: split into tokens, converted and
+    range-checked as a whole, and ordered pair by pair.  A block the bulk
+    step cannot take whole (a comment, a blank line, a second header, a bad
+    token, an out-of-range endpoint, a self-loop, an unrecognized or
+    malformed line) is walked line by line, so every error names the
+    offending line.  The graph is built without the constructor's check,
+    which this reading has already made.
     """
+    lines = text.splitlines()
     n = None
     edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise ParseError(f"line {lineno}: duplicate header {line!r}")
-            if len(fields) != 4 or fields[1] != "edge":
-                raise ParseError(f"line {lineno}: malformed header {line!r}")
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed header {line!r}") from None
-            if n < 0:
-                raise ParseError(f"line {lineno}: negative vertex count {line!r}")
-            if m < 0:
-                raise ParseError(f"line {lineno}: negative edge count {line!r}")
-        elif fields[0] == "e":
-            if n is None:
-                raise ParseError(f"line {lineno}: edge before header {line!r}")
-            if len(fields) != 3:
-                raise ParseError(f"line {lineno}: malformed edge line {line!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed edge line {line!r}") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"line {lineno}: endpoint out of range {line!r}")
-            if u == v:
-                raise ParseError(f"line {lineno}: self-loop {line!r}")
-            edges.add(normalize_edge(u - 1, v - 1))
+    start = 0
+    while start < len(lines):
+        if n is None:
+            stop = start + 1
         else:
-            raise ParseError(f"line {lineno}: unrecognized line {line!r}")
+            stop = start + _BLOCK_LINES
+            block = _read_block(lines[start:stop], n)
+            if block is not None:
+                edges.update(block)
+                start = stop
+                continue
+        for lineno in range(start + 1, min(stop, len(lines)) + 1):
+            line = lines[lineno - 1].strip()
+            if not line or line.startswith("c"):
+                continue
+            fields = line.split()
+            if fields[0] == "p":
+                if n is not None:
+                    raise ParseError(f"line {lineno}: duplicate header {line!r}")
+                if len(fields) != 4 or fields[1] != "edge":
+                    raise ParseError(f"line {lineno}: malformed header {line!r}")
+                try:
+                    n, m = int(fields[2]), int(fields[3])
+                except ValueError:
+                    raise ParseError(f"line {lineno}: malformed header {line!r}") from None
+                if n < 0:
+                    raise ParseError(f"line {lineno}: negative vertex count {line!r}")
+                if m < 0:
+                    raise ParseError(f"line {lineno}: negative edge count {line!r}")
+            elif fields[0] == "e":
+                if n is None:
+                    raise ParseError(f"line {lineno}: edge before header {line!r}")
+                if len(fields) != 3:
+                    raise ParseError(f"line {lineno}: malformed edge line {line!r}")
+                try:
+                    u, v = int(fields[1]), int(fields[2])
+                except ValueError:
+                    raise ParseError(f"line {lineno}: malformed edge line {line!r}") from None
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise ParseError(f"line {lineno}: endpoint out of range {line!r}")
+                if u == v:
+                    raise ParseError(f"line {lineno}: self-loop {line!r}")
+                edges.add((u - 1, v - 1) if u < v else (v - 1, u - 1))
+            else:
+                raise ParseError(f"line {lineno}: unrecognized line {line!r}")
+        start = stop
     if n is None:
         raise ParseError("missing 'p edge' header")
-    return Graph(n, frozenset(edges))
+    del lines  # freed before the edges are copied, which is this reading's peak
+    return Graph._built(n, frozenset(edges))
 
 
 def serialize_graph(g: Graph) -> str:
@@ -255,14 +330,12 @@ def add_edges(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
         if e in g.edges or e in new:
             raise ValueError(f"({u}, {v}) is already an edge")
         new.add(e)
-    return Graph(g.n, g.edges | new)
+    return Graph._built(g.n, g.edges | new)
 
 
 def apex_extension(g: Graph) -> Graph:
     """Return g plus one new vertex adjacent to every existing vertex."""
-    edges = set(g.edges)
-    edges.update((v, g.n) for v in range(g.n))
-    return Graph(g.n + 1, frozenset(edges))
+    return Graph._built(g.n + 1, g.edges | {(v, g.n) for v in range(g.n)})
 
 
 def non_edges(g: Graph) -> tuple[tuple[int, int], ...]:

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .coloring import extend_coloring, validate_coloring
-from .graphs import BudgetExceededError, Graph, InputError, add_edges, non_edges, normalize_edge
+from .graphs import BudgetExceededError, Graph, InputError, add_edges, non_edges
 from .sat import CnfFormula, _is_tautology
 
 DEFAULT_CLAUSE_BUDGET = 10**6
@@ -129,7 +129,10 @@ def _pad_to_width(phi: CnfFormula, width: int) -> CnfFormula:
     Leading literals land in the first half of the next split and their
     appended copies in the second, so no half ever holds the same variable
     twice; the shrink-step resilience argument depends on exactly that.
+    A formula with no clause narrower than width is returned as it is.
     """
+    if all(len(cl) >= width for cl in phi.clauses):
+        return phi
     out: list[tuple[int, ...]] = []
     for cl in phi.clauses:
         pad = width - len(cl)
@@ -212,7 +215,7 @@ class _Builder:
         return v
 
     def edge(self, u: int, v: int) -> None:
-        self.edges.add(normalize_edge(u, v))
+        self.edges.add((u, v) if u < v else (v, u))
 
     def ports(self, base: int, count: int) -> tuple[int, ...]:
         """`count` new vertices, each joined to the base."""
@@ -222,7 +225,8 @@ class _Builder:
         return ports
 
     def graph(self) -> Graph:
-        return Graph(self.n, frozenset(self.edges))
+        # the wiring joins only vertices it has made, never one to itself
+        return Graph._built(self.n, frozenset(self.edges))
 
 
 def _wire_negation(b: _Builder, base: int, ports: tuple[int, ...]) -> tuple[int, ...]:

@@ -48,6 +48,28 @@ def assert_checked(phi: CnfFormula) -> None:
     assert phi == CnfFormula(phi.num_vars, tuple(map(tuple, phi.clauses)))
 
 
+def assert_graph_checked(g: Graph) -> None:
+    """g, built without the constructor's check, equals the graph the
+    checked constructor builds from its n and its edges: every pair is
+    ordered and in range."""
+    assert g == Graph(g.n, frozenset(g.edges))
+
+
+# one planted-true literal per clause over 8 variables, whose first
+# 3-coloring took 2.87M color tries and 1.66M backjumps before the
+# forced-color step; its gadget graph has 3,689 vertices and 6,756 edges
+TAIL_8_14 = CnfFormula.make(
+    8,
+    [
+        tuple(int(lit) for lit in clause.split())
+        for clause in (
+            "-7 4 -2 / 6 -8 1 / -5 -6 3 / -2 1 6 / -6 -1 -3 / -4 -7 1 / 5 6 4 / "
+            "-5 4 8 / 3 8 -5 / -5 1 4 / -1 -6 -4 / 8 -2 -5 / 8 6 -3 / 2 5 6"
+        ).split("/")
+    ],
+)
+
+
 def uniform_six_cnf(rng: random.Random, clauses: int) -> CnfFormula:
     """Clauses over exactly six distinct variables each, random polarity."""
     made = []

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import brute_colorable, random_graph
+from conftest import TAIL_8_14, brute_colorable, random_graph
 from rescol import coloring
 from rescol.coloring import (
     DegreeWitness,
@@ -171,21 +171,6 @@ def planted_3cnf(seed: int, num_vars: int, num_clauses: int, min_true: int) -> C
         if sum((lit > 0) == truth[abs(lit)] for lit in clause) >= min_true:
             clauses.append(clause)
     return CnfFormula.make(num_vars, clauses)
-
-
-# one planted-true literal per clause over 8 variables, whose first
-# 3-coloring took 2.87M color tries and 1.66M backjumps before the
-# forced-color step
-TAIL_8_14 = CnfFormula.make(
-    8,
-    [
-        tuple(int(lit) for lit in clause.split())
-        for clause in (
-            "-7 4 -2 / 6 -8 1 / -5 -6 3 / -2 1 6 / -6 -1 -3 / -4 -7 1 / 5 6 4 / "
-            "-5 4 8 / 3 8 -5 / -5 1 4 / -1 -6 -4 / 8 -2 -5 / 8 6 -3 / 2 5 6"
-        ).split("/")
-    ],
-)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 """Blow-up, shrink-down, the hardness chain, and the 6-CNF to 3-coloring encoder."""
+import hashlib
 import itertools
 import json
 import math
@@ -6,9 +7,9 @@ import random
 
 import pytest
 
-from conftest import assert_checked, brute_satisfiable, random_cnf, uniform_six_cnf
+from conftest import assert_checked, assert_graph_checked, brute_satisfiable, random_cnf, uniform_six_cnf
 from rescol.coloring import chromatic_number, is_k_colorable, validate_coloring
-from rescol.graphs import Graph
+from rescol.graphs import Graph, add_edges, non_edges
 from rescol import reductions
 from rescol.reductions import (
     BudgetExceededError,
@@ -21,7 +22,7 @@ from rescol.reductions import (
     three_sat_to_coloring,
 )
 from rescol.resilience import is_r_resiliently_k_colorable
-from rescol.sat import CnfFormula, is_r_resilient, is_satisfiable, restrict
+from rescol.sat import CnfFormula, is_r_resilient, is_satisfiable, restrict, serialize_cnf
 
 
 def satisfies(phi: CnfFormula, assignment: dict[int, bool]) -> bool:
@@ -368,7 +369,60 @@ def test_reductions_build_formulas_the_constructor_accepts():
             assert_checked(hardness_chain(r, phi3))
 
 
+# r, the input's variable count and clauses, and the SHA-256 of the chain's
+# DIMACS text
+_FROZEN_CHAINS = [
+    (2, 3, [(1, 2, 3)], "c14445e51e2ac0d739720c532aa524298ca18d0cce07c1cf66d5db8bd7f177a7"),
+    (2, 3, [(1, 2), (-1, -2, -3)], "3da432914f2be05626d477c19b97bf3c184e5dec8f47094c37a6bef86589a1f3"),
+    (2, 4, [(1, -2, 3), (-1, 4), (2, 3, -4)], "b08f6e2338771560e2d74ec28f4ffccd3fe76b803affe2cb1f2d504fa195e8f4"),
+    (3, 3, [(1, 2, 3)], "ded06d1e9fd3af55cb83b163469b4306662eaf6db2dd9bd15fcfd72cb263a589"),
+    (3, 3, [(1, 2), (-1, -2, -3)], "ab09348c0f0462aa470ea49a791f0643bb77e8d553e0e813318d4f2756b86fc0"),
+    (3, 4, [(1, -2, 3), (-1, 4), (2, 3, -4)], "8960f2acd3e49bf8a17b3dc4bc6559b4b2e5cdbb0f4c00d82d8a9580608f5f96"),
+    (4, 3, [(1, 2, 3)], "8d706a28a0c89e2a220a7ae3e38273792466693b52ee2307fc69f9ae38dfb7d5"),
+    (4, 3, [(1, 2), (-1, -2, -3)], "86021126fe7329d51b422f8cf9a7af11c6268ad7dd00e84f5d25ca708efbcfd2"),
+    (4, 4, [(1, -2, 3), (-1, 4), (2, 3, -4)], "2a626a800b4629a1827339225172797e1076fa7d994b240518e309bed5294f07"),
+]
+
+
+def test_hardness_chain_outputs_are_frozen_and_uniform_pads_return_their_input(monkeypatch):
+    """The chain's outputs at r = 2, 3 and 4, frozen as the SHA-256 of their
+    DIMACS text.  Of the four pads in each chain, those whose input has no
+    clause narrower than the target width return that input itself: the
+    second, third and fourth at r = 2, the second and third at r = 3 and 4."""
+    returned_input = []
+    pad = reductions._pad_to_width
+
+    def spy(phi, width):
+        out = pad(phi, width)
+        returned_input.append(out is phi)
+        return out
+
+    monkeypatch.setattr(reductions, "_pad_to_width", spy)
+    for r, num_vars, clauses, digest in _FROZEN_CHAINS:
+        returned_input.clear()
+        out = hardness_chain(r, CnfFormula.make(num_vars, clauses))
+        assert hashlib.sha256(serialize_cnf(out).encode()).hexdigest() == digest
+        assert returned_input == ([True, True, False, True] if r == 2 else [False, True, True, False])
+
+
 # --------------------------------------------------------- six_cnf_to_graph
+
+
+def test_gadget_graphs_pass_the_constructor_check():
+    """The gadget builder makes its graphs without the constructor's check;
+    on seeded random inputs every graph it makes passes it unchanged, as do
+    the standalone gadgets and each of them plus one added edge."""
+    rng = random.Random(53)
+    for _ in range(30):
+        assert_graph_checked(six_cnf_to_graph(random_cnf(rng, max_vars=5, max_clauses=4, max_width=6)).graph)
+    for _ in range(10):
+        assert_graph_checked(three_sat_to_coloring(random_cnf(rng, max_vars=4, max_clauses=3)).graph)
+    for num_ports, wire in ((2, None), (4, reductions._wire_negation), (12, reductions._wire_clause)):
+        graph = reductions._standalone(num_ports, wire)[0]
+        assert_graph_checked(graph)
+        pairs = non_edges(graph)
+        for pair in rng.sample(pairs, min(20, len(pairs))):
+            assert_graph_checked(add_edges(graph, [pair]))
 
 
 def test_gadget_graph_shape():

@@ -76,7 +76,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
         """Build a graph, normalizing pair order and dropping duplicates."""
-        return cls(n, frozenset(normalize_edge(u, v) for u, v in pairs))
+        return cls(n, frozenset({normalize_edge(u, v) for u, v in pairs}))
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:

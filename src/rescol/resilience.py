@@ -183,6 +183,9 @@ def _first_uncovered(
         return None
 
     found = search([root], 0, 0)
+    # search reaches itself through its closure; dropping it frees the
+    # scan's nodes and solver now rather than at the next cycle collection
+    del search
     if found is None:
         return None, total
     rank = comb(groups, size) - 1

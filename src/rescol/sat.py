@@ -19,16 +19,17 @@ There is one solver: an incremental DPLL built once per formula, which
 answers each restriction as a set of assumed literals and undoes them
 afterwards.  Its one trail records every assignment, and each clause is
 watched through its first two slots (the MiniSat layout).  Decisions follow
-a phase that the caller may pass, False by default.  A solve first tests its
-phase assignment, each variable at its phase value with the assumed
-literals written over it: when that satisfies every clause it is returned
-without a search, which is exact because DPLL guided by that phase meets no
-conflict and ends at that same assignment.  ``is_satisfiable``
-first resolves away the top variables that occur in at most one clause of
-each polarity (Davis–Putnam elimination, which never grows the formula;
-the switch variables of ``hardness_chain``'s shrink rounds are such), runs
-the solver on the remaining core, and extends its least model to phi's
-least model.  Resilience scans keep every model found so far and
+a phase that the caller may pass, False by default; a solve reads its phase
+once and keeps nothing for the next solve.  It first tests its phase
+assignment, each variable at its phase value with the assumed literals
+written over it: when that satisfies every clause it is returned without a
+search, which is exact because DPLL guided by that phase meets no conflict
+and ends at that same assignment.  ``is_satisfiable`` first resolves away
+the top variables that occur in at most one clause of each polarity
+(Davis–Putnam elimination, which never grows the formula; the switch
+variables of ``hardness_chain``'s shrink rounds are such), runs the solver
+on the remaining core, and extends its least model to phi's least model.
+Resilience scans keep every model found so far and
 run the lex-prefix search of ``rescol.resilience`` over variable prefixes,
 so a restriction that agrees with a kept model is survived without a solve,
 and without being visited.  Such hits can never flip a verdict, because the
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Reversible
 
 from .graphs import InputError, ParseError
@@ -284,12 +285,12 @@ class _Solver:
     and swaps a replacement watch into slot 1.  Watches need no repair on
     undo.
 
-    Before any literal goes on the trail, ``solve`` tests its phase
-    assignment: each variable at its phase value, the assumed literals
-    written over them.  When that assignment satisfies every clause it is
-    the model the search would end at, so it is returned without one.  The
-    test keeps one witness literal per clause, the one that held last time,
-    and reads a clause only when its witness fails.
+    Each ``solve`` reads its phase once, into a string of binary digits
+    whose character v is bit v, and keeps nothing for the next solve.
+    Before any literal goes on the trail, it tests its phase assignment:
+    each variable at its phase value, the assumed literals written over
+    them.  When that assignment satisfies every clause it is the model the
+    search would end at, so it is returned without one.
     """
 
     def __init__(self, phi: CnfFormula):
@@ -302,11 +303,7 @@ class _Solver:
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
         self.trail: list[int] = []
         self.head = 0
-        # witness[j] is a literal of clause j that held in the last phase
-        # assignment tested, 0 (which never holds) until the clause is first
-        # read; it only speeds the test
         self.clauses = phi.clauses
-        self.witness = [0] * len(phi.clauses)
         for cl in phi.clauses:
             if len(cl) > 1:
                 clause = list(cl)
@@ -376,33 +373,30 @@ class _Solver:
             value[lit] = value[-lit] = None
         self.head = mark
 
-    def _phase_model(self, assumptions: tuple[int, ...], phase: int) -> list[bool] | None:
+    def _phase_model(self, assumptions: tuple[int, ...], bits: str) -> list[bool] | None:
         """The phase assignment when it is a model, else None.
 
-        The phase assignment sets variable v to bit v of ``phase``, then
-        writes the assumed literals over it; it is no assignment when the
-        assumptions hold both literals of a variable.
+        The phase assignment sets variable v True when ``bits[v]`` is "1",
+        then writes the assumed literals over it; it is no assignment when
+        the assumptions hold both literals of a variable.  A clause fails
+        it when none of its literals holds.
         """
         n = self.num_vars
         # holds[lit] tells whether literal lit is true, indexed as value is
         holds = [False] * (2 * n + 1)
         for var in range(1, n + 1):
-            holds[var if phase >> var & 1 else -var] = True
+            holds[var if bits[var] == "1" else -var] = True
         for lit in assumptions:
             holds[lit] = True
             holds[-lit] = False
         if not all(holds[lit] for lit in assumptions):
             return None
-        clauses = self.clauses
-        witness = self.witness
-        for j, held in enumerate(witness):
-            if not holds[held]:
-                for lit in clauses[j]:
-                    if holds[lit]:
-                        witness[j] = lit
-                        break
-                else:
-                    return None
+        for cl in self.clauses:
+            for lit in cl:
+                if holds[lit]:
+                    break
+            else:
+                return None
         return holds[1 : n + 1]
 
     def solve(self, assumptions: Iterable[int] = (), phase: int = 0) -> list[bool] | None:
@@ -411,7 +405,10 @@ class _Solver:
         Each decision first tries variable v at bit v of ``phase``, so the
         model returned is the first one extending the assumptions when every
         variable tries its phase value first; phase 0 gives the least model.
-        The model lists the values of variables 1..num_vars in order.
+        The model lists the values of variables 1..num_vars in order.  The
+        phase is read once, in time linear in num_vars, into the digit
+        string that the phase test and every decision read; the answer
+        depends on the assumptions and the phase alone.
 
         When the phase assignment (``_phase_model``) is a model, it is that
         first model and is returned without a search.  Unit propagation from
@@ -422,14 +419,16 @@ class _Solver:
         if not self.consistent:
             return None
         assumptions = tuple(assumptions)
-        model = self._phase_model(assumptions, phase)
+        n = self.num_vars
+        # bits[v] is bit v of phase, "1" or "0"
+        bits = f"{phase:0{n + 1}b}"[::-1]
+        model = self._phase_model(assumptions, bits)
         if model is not None:
             return model
         try:
             if not (all(self._assign(lit) for lit in assumptions) and self._propagate()):
                 return None
             value = self.value
-            n = self.num_vars
             marks: list[int] = []
             var = 1
             while True:
@@ -438,7 +437,7 @@ class _Solver:
                 if var > n:
                     return value[1 : n + 1]
                 marks.append(len(self.trail))
-                ok = self._assign(var if phase >> var & 1 else -var) and self._propagate()
+                ok = self._assign(var if bits[var] == "1" else -var) and self._propagate()
                 while not ok:
                     if not marks:
                         return None
@@ -586,17 +585,19 @@ def _model_certifier(phi: CnfFormula) -> Callable[[int], int | None]:
     a model that makes those literals true, or to None when there is none.
 
     ``is_satisfiable`` answers the empty mask on its eliminated core; any
-    other mask may fix eliminated variables, so one solver over all of phi
-    answers it.  Least models all look alike, so each would cover few
-    restrictions that earlier ones miss.  Those solves therefore take a
-    pseudo-random phase seeded with the mask itself: any model extending
-    the restriction is a valid certificate, and None does not depend on the
-    phase, so verdicts, witnesses and counters cannot move.  A pure
-    function of the mask keeps the certifier free of call history (a scan
-    and a reference scan sharing it solve alike), and seeding ``random``
-    with an int does not depend on ``PYTHONHASHSEED``.
+    other mask may fix eliminated variables, so one solver over all of phi,
+    built at the first such mask (an r = 0 scan builds none), answers it.
+    Least models all look alike, so each would cover few restrictions that
+    earlier ones miss.  Those solves therefore take a pseudo-random phase
+    seeded with the mask itself: any model extending the restriction is a
+    valid certificate, and None does not depend on the phase, so verdicts,
+    witnesses and counters cannot move.  A solve depends only on its
+    assumptions and its phase, and the phase is a pure function of the
+    mask, so the certifier carries no call history (a scan and a reference
+    scan sharing it solve alike); seeding ``random`` with an int does not
+    depend on ``PYTHONHASHSEED``.
     """
-    solver = _Solver(phi)
+    solver = cache(lambda: _Solver(phi))
     width = phi.num_vars + 1
 
     def solve(mask: int) -> int | None:
@@ -604,7 +605,7 @@ def _model_certifier(phi: CnfFormula) -> Callable[[int], int | None]:
             least = is_satisfiable(phi)
             return None if least is None else _model_mask(least.values())
         phase = random.Random(mask).getrandbits(width)
-        model = solver.solve([var if val else -var for var, val in _fixes(mask)], phase)
+        model = solver().solve([var if val else -var for var, val in _fixes(mask)], phase)
         return None if model is None else _model_mask(model)
 
     return solve

@@ -1,6 +1,7 @@
 """Graph model, classic instances, transformations, and DIMACS edge I/O."""
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -391,6 +392,16 @@ def test_library_graphs_skip_the_pair_check(monkeypatch):
         Graph(2, frozenset({(0, 2)}))
     assert Graph.from_edges(2, [(1, 0)]) == complete_graph(2)
     assert calls == [4]
+
+
+def test_from_edges_edge_set_is_sized_like_a_copied_set():
+    """from_edges collects its pairs into a set before freezing them, so
+    the 3,689-vertex gadget graph's edge set takes no more memory than the
+    builder's own (a frozenset grown from a generator takes twice as much)."""
+    g = three_sat_to_coloring(TAIL_8_14).graph
+    rebuilt = Graph.from_edges(g.n, sorted(g.edges))
+    assert rebuilt == g
+    assert sys.getsizeof(rebuilt.edges) == sys.getsizeof(g.edges)
 
 
 def test_serialize_sorted_one_indexed():

@@ -1,4 +1,5 @@
 """Edge-addition resilience: verdicts, witnesses, maxima, solver-call pins."""
+import gc
 import itertools
 import random
 import tracemalloc
@@ -26,11 +27,13 @@ from rescol.graphs import (
     non_edges,
 )
 from rescol import resilience
+from rescol.reductions import blow_up
 from rescol.resilience import (
     SATURATED,
     is_r_resiliently_k_colorable,
     max_graph_resilience,
 )
+from rescol.sat import CnfFormula, is_r_resilient, max_sat_resilience
 
 
 def test_bits_matches_the_low_bit_loop():
@@ -53,6 +56,29 @@ def test_bits_matches_the_low_bit_loop():
     masks += [sum(1 << rng.randrange(100_003) for _ in range(2000)) for _ in range(3)]
     for mask in masks:
         assert list(resilience._bits(mask)) == low_bit_loop(mask)
+
+
+def test_scans_leave_no_cyclic_garbage():
+    """A scan's nodes, certificates and solver are freed by reference
+    counting when it returns: graph and SAT scans, resilient or not, and
+    both max sweeps leave nothing for the cycle collector."""
+    phi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3)]), 2)
+    scans = [
+        lambda: is_r_resiliently_k_colorable(classic("petersen"), 2, 3),
+        lambda: is_r_resiliently_k_colorable(classic("durer"), 2, 3),
+        lambda: max_graph_resilience(classic("petersen"), 3),
+        lambda: is_r_resilient(phi, 2),
+        lambda: is_r_resilient(CnfFormula.make(2, [(1, 2)]), 2),
+        lambda: max_sat_resilience(phi),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for scan in scans:
+            scan()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_petersen_2_3_resilient():

@@ -864,6 +864,84 @@ def test_solver_follows_phase():
     assert min(seen.values()) > 0, seen
 
 
+class _CountingPhase(int):
+    """A phase that counts its right shifts."""
+
+    shifts = 0
+
+    def __rshift__(self, other):
+        _CountingPhase.shifts += 1
+        return int(self) >> other
+
+
+def test_solve_reads_its_phase_once(monkeypatch):
+    """A solve turns its phase into one per-variable view: the number of
+    shifts of the phase per solve does not grow with num_vars, for solves
+    that end at the phase assignment and for ones that fall through to the
+    DPLL, and the answers equal those under the plain int phase."""
+    propagations = count_calls(monkeypatch, sat._Solver, "_propagate")
+    rng = random.Random(50)
+    shifts = {}
+    for n in (200, 2_000):
+        # (x_v or x_v+1): the all-False phase fails it, the all-True one is a model
+        phi = CnfFormula.make(n, [(v, v + 1) for v in range(1, n)])
+        solver = sat._Solver(phi)
+        queries = [((), 0), ((), (1 << n + 1) - 1), ((-1,), rng.getrandbits(n + 1)), ((2, -3), 0)]
+        counts, searched = [], []
+        for assumptions, phase in queries:
+            _CountingPhase.shifts = 0
+            propagations[0] = 0
+            model = solver.solve(assumptions, _CountingPhase(phase))
+            counts.append(_CountingPhase.shifts)
+            searched.append(propagations[0] > 0)
+            assert model == solver.solve(assumptions, phase)
+        assert searched == [True, False, True, True]
+        shifts[n] = counts
+    assert shifts[200] == shifts[2_000], shifts
+
+
+def test_solves_carry_no_history():
+    """A solve is a function of its assumptions and its phase: one solver
+    answering the same queries forwards and backwards gives, for each, what
+    a fresh solver gives.  Queries include contradictory assumptions and
+    phases that are not models."""
+    rng = random.Random(51)
+    seen = {"contradictory": 0, "unsat": 0, "phase model": 0, "searched model": 0}
+    for _ in range(1_000):
+        phi = random_cnf(rng, max_vars=8, max_clauses=12, max_width=4)
+        n = phi.num_vars
+        queries = []
+        for _ in range(6):
+            assumptions = tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 3)))
+            queries.append((assumptions, rng.getrandbits(n + 1)))
+        fresh = [sat._Solver(phi).solve(assumptions, phase) for assumptions, phase in queries]
+        solver = sat._Solver(phi)
+        assert [solver.solve(assumptions, phase) for assumptions, phase in queries] == fresh
+        assert [solver.solve(assumptions, phase) for assumptions, phase in reversed(queries)] == fresh[::-1]
+        for (assumptions, phase), model in zip(queries, fresh):
+            seen["contradictory"] += any(-lit in assumptions for lit in assumptions)
+            seen["unsat"] += model is None
+            # the phase assignment with the assumptions written over it
+            phased = [bool(phase >> var & 1) for var in range(1, n + 1)]
+            for lit in assumptions:
+                phased[abs(lit) - 1] = lit > 0
+            seen["phase model"] += model == phased
+            seen["searched model"] += model is not None and model != phased
+    assert min(seen.values()) > 0, seen
+
+
+def test_chain_scan_at_r1_pinned(monkeypatch):
+    """Perf gate: the r = 1 scan of the r = 3 chain of a satisfiable
+    8-clause formula (28,688 variables) checks 57,376 restrictions with
+    15 solves."""
+    phi8 = CnfFormula.make(4, [*itertools.islice(itertools.product((1, -1), (2, -2), (3, -3)), 7), (1, 2, 4)])
+    psi = hardness_chain(3, phi8)
+    calls = count_calls(monkeypatch, sat._Solver, "solve")
+    verdict = is_r_resilient(psi, 1)
+    assert verdict.resilient and verdict.restrictions_checked == 57_376
+    assert calls[0] == 15
+
+
 def top_heavy_cnf(rng):
     """A random formula over low + top variables where each top variable
     goes into at most one clause of each polarity: an existing clause (so
@@ -1036,6 +1114,20 @@ def test_zero_resilience_runs_is_satisfiable(monkeypatch):
     verdict = is_r_resilient(psi, 0)
     assert calls[0] == 1
     assert not verdict.resilient and verdict.restrictions_checked == 1
+
+
+def test_zero_resilience_builds_one_solver(monkeypatch):
+    """An r = 0 scan builds only is_satisfiable's solver, not a second one
+    over the whole formula; so does the max sweep of an unsatisfiable
+    formula, which stops there."""
+    inits = count_calls(monkeypatch, sat._Solver, "__init__")
+    psi = hardness_chain(2, CnfFormula.make(3, itertools.product((1, -1), (2, -2), (3, -3))))
+    assert not is_r_resilient(psi, 0).resilient
+    assert inits == [1]
+    inits[0] = 0
+    with pytest.raises(ValueError, match="not even 0-resilient"):
+        max_sat_resilience(psi)
+    assert inits == [1]
 
 
 def test_max_sat_resilience_errors_on_unsat():

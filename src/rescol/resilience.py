@@ -16,7 +16,8 @@ certificate it finds in a ``_CertificateStore`` that a caller can carry
 across scans.  It searches lexicographic prefixes of groups depth first,
 carrying for each prefix the certificates that contain it; a prefix that
 one of them covers in every completion is dropped whole, and the last
-element is picked in bulk from the elements no such certificate contains.
+element is picked in bulk from the elements no such certificate contains; a
+prefix one short of full size is made only when such an element is left.
 Only subsets no certificate covers run the exact solver.  Cache hits can
 never flip a verdict: a certificate that covers a subset is itself a
 coloring of the augmented graph, or a model of the restricted formula.
@@ -46,7 +47,8 @@ def _bits(mask: int) -> Iterator[int]:
 
     They are read off ``bin(mask)`` from its end, in time linear in the
     mask's length; clearing the low bit one step at a time would copy the
-    int at every step."""
+    int at every step.  Each set bit costs one seek, which suits the sparse
+    masks: subsets, witnesses and the edges a solve adds."""
     digits = bin(mask)
     top = len(digits) - 1
     i = digits.rfind("1")
@@ -81,8 +83,13 @@ class _CertificateStore:
         bit = 1 << len(self.complements)
         complement = self.universe & ~cert
         self.complements.append(complement)
-        for e in _bits(cert):
-            self.covers[e] |= bit
+        # a certificate is dense (a coloring colors most non-edges properly,
+        # a model holds half the literals), so one walk over all its digits
+        # beats a _bits seek per set bit
+        covers = self.covers
+        for e, digit in enumerate(bin(cert)[:1:-1]):
+            if digit == "1":
+                covers[e] |= bit
         # the group after the complement's last element, 0 for an empty complement
         first_dead = -(-complement.bit_length() // self.choices)
         for s in range(first_dead, self.groups + 1):
@@ -103,14 +110,17 @@ def _first_uncovered(
     certificates that contain mask.  A node whose cover meets ``dead`` of
     the next group has every completion covered and is dropped.  At the
     last group only the node's escape set, the later elements outside every
-    covering certificate, can be uncovered (inner nodes keep 0 there); those
-    subsets are solved in canonical order.  ``solve(mask)`` returns a
-    certificate mask containing mask, which joins the store, the cover of
-    every stacked node inside it and, through its complement, that node's
-    escape set, or None, which ends the scan at that mask.  The count is
-    the mask's canonical rank plus one, or every subset when none is
-    uncovered, so it equals the count of a scan that visits every subset.
-    A size-0 scan must run on a fresh store: it solves the empty subset.
+    covering certificate, can be uncovered.  A last-level node (size - 1
+    elements) is made with its escape set, and only when that set is not
+    empty; inner nodes keep 0 there.  The subsets a last-level node's mask
+    makes with the elements still in its escape set are solved in canonical
+    order.  ``solve(mask)`` returns a certificate mask containing mask,
+    which joins the store, the cover of every stacked node inside it and,
+    through its complement, that node's escape set, or None, which ends the
+    scan at that mask.  The count is the mask's canonical rank plus one, or
+    every subset when none is uncovered, so it equals the count of a scan
+    that visits every subset.  A size-0 scan must run on a fresh store: it
+    solves the empty subset.
     """
     groups, choices = store.groups, store.choices
     covers, complements, dead = store.covers, store.complements, store.dead
@@ -122,8 +132,7 @@ def _first_uncovered(
             return 0, 1
         store.add(cert)
         return None, 1
-    root = [0, (1 << len(complements)) - 1, 0]
-    stack = [[root]]
+    stack: list[list[list[int]]] = []
 
     def keep(cert: int) -> None:
         bit = store.add(cert)
@@ -134,18 +143,7 @@ def _first_uncovered(
                     node[1] |= bit
                     node[2] &= complement
 
-    def last_pick(nodes: list[list[int]], start: int) -> int | None:
-        later = universe >> start * choices << start * choices  # groups start and on
-        for node in nodes:
-            cover = node[1]
-            escape = later
-            while cover and escape:
-                # newest certificate first: on random 4-colorable graphs this
-                # ends the AND in about a fifth fewer steps than oldest first
-                t = cover.bit_length() - 1
-                escape &= complements[t]
-                cover ^= 1 << t
-            node[2] = escape
+    def last_pick(nodes: list[list[int]]) -> int | None:
         while True:
             pending = 0
             for node in nodes:
@@ -163,26 +161,47 @@ def _first_uncovered(
                             return mask
                         keep(cert)
 
+    def escape(cover: int, later: int) -> int:
+        """The elements of later outside every certificate in cover."""
+        while cover and later:
+            # newest certificate first: on random 4-colorable graphs this
+            # ends the AND in about a fifth fewer steps than oldest first
+            t = cover.bit_length() - 1
+            later &= complements[t]
+            cover ^= 1 << t
+        return later
+
     def search(nodes: list[list[int]], start: int, depth: int) -> int | None:
-        if depth + 1 == size:
-            return last_pick(nodes, start)
+        last = depth + 2 == size
         for g in range(start, groups - size + depth + 1):
             after = dead[g + 1]
+            later = universe >> (g + 1) * choices << (g + 1) * choices
             live = []
             for mask, cover, _ in nodes:
                 for e in range(g * choices, g * choices + choices):
                     both = cover & covers[e]
                     if not both & after:
-                        live.append([mask | 1 << e, both, 0])
+                        if not last:
+                            live.append([mask | 1 << e, both, 0])
+                        elif free := escape(both, later):
+                            live.append([mask | 1 << e, both, free])
             if live:
                 stack.append(live)
-                found = search(live, g + 1, depth + 1)
+                found = last_pick(live) if last else search(live, g + 1, depth + 1)
                 stack.pop()
                 if found is not None:
                     return found
         return None
 
-    found = search([root], 0, 0)
+    everything = (1 << len(complements)) - 1
+    if size > 1:
+        stack.append([[0, everything, 0]])
+        found = search(stack[0], 0, 0)
+    elif free := escape(everything, universe):
+        stack.append([[0, everything, free]])
+        found = last_pick(stack[0])
+    else:
+        found = None
     # search reaches itself through its closure; dropping it frees the
     # scan's nodes and solver now rather than at the next cycle collection
     del search

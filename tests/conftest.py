@@ -196,9 +196,95 @@ def counted(solve, calls: list[int], slot: int):
     return counting
 
 
+def logged(solve, log: list):
+    """solve, appending each (mask, result) pair it gives to log."""
+
+    def logging(mask):
+        cert = solve(mask)
+        log.append((mask, cert))
+        return cert
+
+    return logging
+
+
 def count_calls(monkeypatch, owner, name: str) -> list[int]:
     """Patch owner.name to count its calls in the returned one-slot list;
     the solver-call pins read it."""
     calls = [0]
     monkeypatch.setattr(owner, name, counted(getattr(owner, name), calls, 0))
     return calls
+
+
+def last_level_shapes(groups: int, choices: int, size: int, known: list[int], solved):
+    """Replay a scan of size-subsets in canonical order and count two shapes
+    of the prefix walk's last level, whose nodes hold size - 1 elements.
+
+    known holds the certificates kept before the scan, and solved the
+    (mask, certificate or None) pairs of its solves in order.  Returns
+    whether two solved masks share their first size - 1 groups, so that a
+    certificate kept mid-pick met a sibling, and the number of group
+    prefixes whose last-level children all have every completion covered
+    while at least one of them is not covered whole by a single certificate
+    (so the dead-group test keeps it and only its escape set drops it).  A
+    prefix is judged with the certificates kept before its first subset."""
+    if size < 2:
+        return False, 0
+    heads = [
+        tuple(e // choices for e in range(groups * choices) if mask >> e & 1)[: size - 1]
+        for mask, _ in solved
+    ]
+    siblings = len(set(heads)) < len(heads)
+    known = list(known)
+    solves = iter(solved)
+    pending = next(solves, None)
+    universe = (1 << groups * choices) - 1
+    covered = 0
+    head = None
+    for picked in itertools.combinations(range(groups), size):
+        if picked[:-1] != head:
+            head = picked[:-1]
+            later = universe >> (head[-1] + 1) * choices << (head[-1] + 1) * choices
+            kept = escaped = 0
+            for vector in itertools.product(range(choices), repeat=size - 1):
+                child = sum(1 << (g * choices + c) for g, c in zip(head, vector))
+                cover = [cert for cert in known if child & ~cert == 0]
+                if any(later & ~cert == 0 for cert in cover):
+                    continue
+                kept += 1
+                escape = later
+                for cert in cover:
+                    escape &= ~cert
+                escaped += escape != 0
+            covered += kept > 0 and escaped == 0
+        for vector in itertools.product(range(choices), repeat=size):
+            mask = sum(1 << (g * choices + c) for g, c in zip(picked, vector))
+            if pending is not None and mask == pending[0]:
+                if pending[1] is None:
+                    return siblings, covered
+                known.append(pending[1])
+                pending = next(solves, None)
+    return siblings, covered
+
+
+def carried_scans_match_reference(first_uncovered, store, solve, sizes) -> tuple[int, int]:
+    """Carry store through a first_uncovered scan of each size, as the max
+    sweeps do, asserting that each scan returns what the plain scan
+    returns, solves the same masks in the same order, and leaves the store
+    holding exactly the plain scan's certificates.  Returns the
+    ``last_level_shapes`` counts summed over the scans: scans whose pick met
+    a sibling, and fully covered prefixes."""
+    certs: list[int] = []
+    siblings = covered = 0
+    for size in sizes:
+        known = certs[:]
+        got_log, want_log = [], []
+        got = first_uncovered(store, size, logged(solve, got_log))
+        masks = canonical_masks(store.groups, store.choices, size)
+        want = reference_first_uncovered(masks, logged(solve, want_log), certs)
+        assert got == want
+        assert got_log == want_log
+        assert sorted(store.complements) == sorted(store.universe & ~cert for cert in certs)
+        shapes = last_level_shapes(store.groups, store.choices, size, known, got_log)
+        siblings += shapes[0]
+        covered += shapes[1]
+    return siblings, covered

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     canonical_masks,
+    carried_scans_match_reference,
     count_calls,
     counted,
     oracle_graph_first_failure,
@@ -322,6 +323,17 @@ def test_clebsch_scan_solver_calls_pinned(monkeypatch):
     assert calls[0] == 71
 
 
+def test_clebsch_r5_scan_solver_calls_pinned(monkeypatch):
+    """Perf gate where the last level of the prefix walk dominates: the
+    Clebsch graph is 5-resiliently 5-colorable, and 108 solves answer all
+    C(80, 5) subsets."""
+    calls = count_calls(monkeypatch, resilience, "_solve_masks")
+    verdict = is_r_resiliently_k_colorable(classic("clebsch"), 5, 5)
+    assert verdict.resilient and verdict.witness is None
+    assert verdict.subsets_checked == comb(80, 5) == 24_040_016
+    assert calls[0] == 108
+
+
 def test_certificate_store_keeps_every_certificate():
     """No certificate is ever dropped: 200 singleton groups at r = 1, each
     certified only by itself, take 200 solves and leave 200 certificates,
@@ -392,3 +404,26 @@ def test_scan_matches_plain_reference_scan(monkeypatch):
             assert got == want
             assert pair[0] == pair[1]
             assert sorted(store.complements) == sorted((1 << m) - 1 & ~cert for cert in certs)
+
+
+def test_scan_matches_plain_reference_scan_through_r4():
+    """One store carried through r = 0..4 on graphs of 8-10 vertices: each
+    scan returns the plain scan's result, solves the same subsets in the
+    same order and keeps the same colorings.  The cases reach the walk's
+    last level both ways: a pick whose kept coloring met a sibling, and a
+    prefix whose children pass the dead-group test yet all escape nothing."""
+    rng = random.Random(37)
+    siblings = covered = 0
+    for _ in range(60):
+        g = random_graph(rng, max_n=10, min_n=8)
+        k = rng.randint(2, 4)
+        candidates = non_edges(g)
+        shapes = carried_scans_match_reference(
+            resilience._first_uncovered,
+            resilience._CertificateStore(len(candidates), 1),
+            resilience._coloring_certifier(g, k, candidates),
+            range(5),
+        )
+        siblings += shapes[0]
+        covered += shapes[1]
+    assert siblings and covered

@@ -11,6 +11,7 @@ from conftest import (
     assert_checked,
     brute_satisfiable,
     canonical_masks,
+    carried_scans_match_reference,
     count_calls,
     counted,
     oracle_sat_first_failure,
@@ -747,6 +748,28 @@ def test_scan_matches_plain_reference_scan(monkeypatch):
             assert pair[0] == pair[1]
             universe = (1 << 2 * n) - 1
             assert sorted(store.complements) == sorted(universe & ~cert for cert in certs)
+
+
+def test_scan_matches_plain_reference_scan_through_r4():
+    """One store carried through r = 0..4 on formulas of up to 6 variables:
+    each scan returns the plain scan's result, solves the same restrictions
+    in the same order and keeps the same models.  The cases reach the
+    walk's last level both ways: a pick whose kept model met a sibling, and
+    a prefix whose children pass the dead-group test yet all escape
+    nothing."""
+    rng = random.Random(37)
+    siblings = covered = 0
+    for _ in range(100):
+        phi = random_cnf(rng, max_vars=6, max_clauses=8, max_width=4)
+        shapes = carried_scans_match_reference(
+            sat._first_uncovered,
+            sat._CertificateStore(phi.num_vars, 2),
+            sat._model_certifier(phi),
+            range(5),
+        )
+        siblings += shapes[0]
+        covered += shapes[1]
+    assert siblings and covered
 
 
 def test_solver_reuse_matches_oracle():

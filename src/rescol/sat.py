@@ -280,10 +280,15 @@ class _Solver:
     order where variable 1 is most significant and each variable's phase
     value comes first; with phase 0 it is the least model (False before
     True).  ``trail[head:]`` holds the literals not yet propagated.  A clause
-    of two or more literals is a list watched through its slots 0 and 1:
-    propagation visits only the clauses watching a newly falsified literal
-    and swaps a replacement watch into slot 1.  Watches need no repair on
-    undo.
+    of two or more literals is a list watched through its slots 0 and 1.
+    Propagation makes one forward pass over a newly falsified literal's
+    watch list (MiniSat's, with the other watch as its blocker).  A clause
+    whose other watch is true stays, its slots untouched.  Otherwise a
+    literal in slot 2 or up that is not false takes the falsified watch's
+    place and the clause moves to that literal's list; when there is none,
+    the clause stays and is a unit or a conflict.  The clauses that stay
+    make a fresh list, and a conflict keeps the unvisited rest.  Watches
+    need no repair on undo.
 
     Each ``solve`` reads its phase once, into a string of binary digits
     whose character v is bit v, and keeps nothing for the next solve.
@@ -304,14 +309,18 @@ class _Solver:
         self.trail: list[int] = []
         self.head = 0
         self.clauses = phi.clauses
+        watches = self.watches
+        units = []
         for cl in phi.clauses:
             if len(cl) > 1:
                 clause = list(cl)
-                self.watches[cl[0]].append(clause)
-                self.watches[cl[1]].append(clause)
+                watches[cl[0]].append(clause)
+                watches[cl[1]].append(clause)
+            elif cl:
+                units.append(cl[0])
         self.consistent = (
             not phi.has_empty_clause
-            and all(self._assign(cl[0]) for cl in phi.clauses if len(cl) == 1)
+            and all(self._assign(lit) for lit in units)
             and self._propagate()
         )
         self.base = len(self.trail)
@@ -336,32 +345,31 @@ class _Solver:
         while head < len(trail):
             falsified = -trail[head]
             head += 1
-            occ = watches[falsified]
-            i = 0
-            while i < len(occ):
-                cl = occ[i]
-                if cl[0] == falsified:
-                    cl[0], cl[1] = cl[1], falsified
+            visit = iter(watches[falsified])
+            watches[falsified] = kept = []
+            for cl in visit:
                 other = cl[0]
+                if other == falsified:
+                    other = cl[1]
                 if value[other] is True:
-                    i += 1
+                    kept.append(cl)
                     continue
-                for k in range(2, len(cl)):
-                    lit = cl[k]
+                k = 2
+                for lit in cl[2:]:
                     if value[lit] is not False:
-                        cl[1], cl[k] = lit, falsified
+                        cl[0], cl[1], cl[k] = other, lit, falsified
                         watches[lit].append(cl)
-                        occ[i] = occ[-1]
-                        occ.pop()
                         break
+                    k += 1
                 else:
+                    kept.append(cl)
                     if value[other] is False:
+                        kept.extend(visit)
                         self.head = head
                         return False
                     value[other] = True
                     value[-other] = False
                     trail.append(other)
-                    i += 1
         self.head = head
         return True
 

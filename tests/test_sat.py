@@ -677,6 +677,20 @@ def test_max_sat_resilience_solver_calls_pinned(monkeypatch):
     assert propagations[0] == 84
 
 
+def test_searched_scan_pinned(monkeypatch):
+    """Perf gate: a blow-up scan whose solves fall through to the DPLL
+    (16 solves, 125 propagations for 612 restrictions)."""
+    calls = count_calls(monkeypatch, sat._Solver, "solve")
+    propagations = count_calls(monkeypatch, sat._Solver, "_propagate")
+    phi6 = CnfFormula.make(
+        6, [(1, -2, 3), (-1, 4, 5), (2, -4, 6), (-3, -5, -6), (1, 5, -6), (-2, 3, 4), (2, -5, 6), (-1, -3, 5)]
+    )
+    verdict = is_r_resilient(blow_up(phi6, 3), 2)
+    assert verdict.resilient and verdict.restrictions_checked == 612
+    assert calls[0] == 16
+    assert propagations[0] == 125
+
+
 def test_bounded_max_matches_unbounded_sweep(monkeypatch):
     """The sweep bounded by the narrowest non-tautological clause gives the
     answer of an r-by-r sweep of single-r scans, raising where it raises,
@@ -950,6 +964,119 @@ def test_solves_carry_no_history():
                 phased[abs(lit) - 1] = lit > 0
             seen["phase model"] += model == phased
             seen["searched model"] += model is not None and model != phased
+    assert min(seen.values()) > 0, seen
+
+
+def watch_cnf(rng):
+    """A random formula whose clauses now and then repeat their first
+    literal in slot 1, or hold a literal and its negation."""
+    n = rng.randint(1, 7)
+    clauses = []
+    for _ in range(rng.randint(1, 24)):
+        cl = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 5))]
+        roll = rng.random()
+        if len(cl) > 1 and roll < 0.15:
+            cl[1] = cl[0]
+        elif len(cl) > 1 and roll < 0.25:
+            cl[-1] = -cl[0]
+        clauses.append(tuple(cl))
+    return CnfFormula(n, tuple(clauses))
+
+
+def test_watch_lists_survive_solves():
+    """After every solve, each clause of two or more literals sits in the
+    watch lists of its slots 0 and 1 (twice in one list when the two are
+    equal) and in no other, holding its own literals, and the trail is back
+    at the level-0 trail.  A propagation that loses the unvisited rest of a
+    watch list on a conflict breaks this."""
+    rng = random.Random(52)
+    seen = {"unit": 0, "duplicate watch": 0, "tautology": 0, "conflict": 0}
+    for _ in range(400):
+        phi = watch_cnf(rng)
+        n = phi.num_vars
+        seen["unit"] += any(len(cl) == 1 for cl in phi.clauses)
+        seen["duplicate watch"] += any(len(cl) > 1 and cl[0] == cl[1] for cl in phi.clauses)
+        seen["tautology"] += any(-lit in cl for cl in phi.clauses for lit in cl)
+        solver = sat._Solver(phi)
+        level0 = solver.trail[:]
+        propagate = solver._propagate
+
+        def counted_propagate():
+            ok = propagate()
+            seen["conflict"] += not ok
+            return ok
+
+        solver._propagate = counted_propagate
+        long_clauses = sorted(sorted(cl) for cl in phi.clauses if len(cl) > 1)
+        for _ in range(8):
+            assumptions = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 3))]
+            solver.solve(assumptions, rng.getrandbits(n + 1))
+            assert solver.trail == level0 and solver.base == len(level0)
+            # a solver inconsistent at level 0 never moves its head again
+            assert solver.head == solver.base or not solver.consistent
+            held = {}
+            for lit in range(-n, n + 1):
+                for cl in solver.watches[lit]:
+                    held.setdefault(id(cl), [cl, []])[1].append(lit)
+            assert sorted(sorted(cl) for cl, _ in held.values()) == long_clauses
+            for cl, lits in held.values():
+                assert sorted(lits) == sorted(cl[:2])
+    assert min(seen.values()) > 0, seen
+
+
+def reference_closure(phi, literals):
+    """Unit propagation of phi from its unit clauses and the given literals,
+    by repeated passes over every clause: the set of literals reached, or
+    None when a clause or a pair of literals is contradicted.  A clause is
+    unit when only one of its slots is not false: a literal repeated in a
+    clause fills two slots, as it can fill both watches, so (x, x) forces
+    nothing."""
+    true = set(literals) | {cl[0] for cl in phi.clauses if len(cl) == 1}
+    while True:
+        if any(-lit in true for lit in true):
+            return None
+        grown = False
+        for cl in phi.clauses:
+            if any(lit in true for lit in cl):
+                continue
+            open_slots = [lit for lit in cl if -lit not in true]
+            if not open_slots:
+                return None
+            if len(open_slots) == 1:
+                true.add(open_slots[0])
+                grown = True
+        if not grown:
+            return true
+
+
+def test_propagate_matches_reference_closure():
+    """Literals pushed through _assign and propagated: _propagate returns
+    False exactly when the reference closure meets a conflict, and otherwise
+    leaves exactly the closure's literals assigned, whatever order it
+    visits the watch lists in."""
+    rng = random.Random(53)
+    seen = {"conflict": 0, "fixpoint": 0, "forced": 0}
+    for _ in range(600):
+        phi = watch_cnf(rng)
+        n = phi.num_vars
+        solver = sat._Solver(phi)
+        if not solver.consistent:
+            assert reference_closure(phi, ()) is None
+            continue
+        assert set(solver.trail) == reference_closure(phi, ())
+        for _ in range(6):
+            chosen = {rng.randint(1, n): rng.random() < 0.5 for _ in range(rng.randint(1, 3))}
+            literals = [var if positive else -var for var, positive in chosen.items()]
+            expected = reference_closure(phi, literals)
+            ok = all(solver._assign(lit) for lit in literals) and solver._propagate()
+            assert ok == (expected is not None)
+            if ok:
+                assert set(solver.trail) == expected and len(solver.trail) == len(expected)
+                assert all(solver.value[lit] is True and solver.value[-lit] is False for lit in expected)
+                assert sum(value is not None for value in solver.value[1:]) == 2 * len(expected)
+                seen["forced"] += len(expected) > len(set(literals) | set(solver.trail[: solver.base]))
+            seen["fixpoint" if ok else "conflict"] += 1
+            solver._undo(solver.base)
     assert min(seen.values()) > 0, seen
 
 

@@ -19,7 +19,8 @@ exit code: a failed run still exits 2 or 3 when its ``error:`` line cannot
 be written, and a report that cannot be written exits 2.  Such a stream is
 pointed at the null device, so the interpreter's flush at exit stays
 silent; a descriptor closed before start-up, which leaves its stream None,
-is unwritable like any closed one.  The library checks its own arguments;
+is unwritable like any closed one, and a command reading such a stdin exits
+2 as for an unreadable file.  The library checks its own arguments;
 any other ValueError is an internal error and is raised, not reported as
 exit 2.
 
@@ -64,6 +65,8 @@ _CLASSICS_TABLE = (
 def _read_text(path: str | None) -> str:
     try:
         if path is None or path == "-":
+            if sys.stdin is None:  # descriptor 0 closed before start-up
+                raise InputError("stdin is closed")
             return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()

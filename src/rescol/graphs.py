@@ -7,9 +7,10 @@ A graph is checked once, where it enters the library: ``Graph(...)`` and
 ``Graph.from_edges`` check every pair, while the graphs the library makes
 from pairs it has already checked (``parse_graph``, ``add_edges``,
 ``apex_extension`` and the reductions' gadget builder) skip that check.
-``parse_graph`` reads DIMACS edge text in one pass: the lines up to the
-header one at a time, then blocks of lines in bulk, walking line by line
-only a block the bulk step rejects, so every error still names its line.
+``_read_dimacs`` holds the one DIMACS reading policy, which ``parse_graph``
+here and ``rescol.sat.parse_cnf`` share: the lines up to the header one at
+a time, then blocks of lines in bulk, walking line by line only a block the
+format's bulk step rejects, so every error still names its line.
 The package's two reported errors live here, where every module can import
 them: InputError (exit 2 in the command line) and BudgetExceededError (exit 3).
 """
@@ -19,7 +20,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class InputError(ValueError):
@@ -33,6 +34,66 @@ class ParseError(InputError):
 
 class BudgetExceededError(RuntimeError):
     """An output would exceed the configured clause or vertex budget."""
+
+
+# lines read in bulk at a time after the header
+_BLOCK_LINES = 256
+
+
+def _read_dimacs(
+    text: str,
+    kind: str,
+    negative: tuple[str, str],
+    read_block: Callable[[list[str], int, int], bool],
+    read_line: Callable[[int, str, list[str], tuple[int, int] | None], bool | None],
+) -> tuple[int, int]:
+    """Read DIMACS text in one pass and return the counts of its
+    "p <kind> a b" header; the format's own lines go to the two readers.
+
+    Blank lines and lines starting with "c" are skipped.  Up to and
+    including the header the lines are walked one at a time.  After it,
+    each block of ``_BLOCK_LINES`` lines goes whole to
+    ``read_block(lines, a, b)``, which takes it and returns True, or returns
+    False having changed nothing.  A block it rejects is walked line by
+    line, so every error names the offending line.  Each walked line other
+    than a header goes to ``read_line(lineno, line, fields, counts)``, with
+    counts None before the header; when it returns True the input ends
+    there.  A second header, a header of another kind or with counts that
+    are no integers, and a negative count (reported with the matching
+    message of ``negative``) raise ParseError, as does a missing header.
+    """
+    lines = text.splitlines()
+    counts = None
+    start, end = 0, len(lines)  # end drops to the line where read_line ends the input
+    while start < end:
+        stop = start + (1 if counts is None else _BLOCK_LINES)
+        if counts is not None and read_block(lines[start:stop], *counts):
+            start = stop
+            continue
+        for lineno in range(start + 1, min(stop, end) + 1):
+            line = lines[lineno - 1].strip()
+            if not line or line.startswith("c"):
+                continue
+            fields = line.split()
+            if fields[0] == "p":
+                if counts is not None:
+                    raise ParseError(f"line {lineno}: duplicate header {line!r}")
+                if len(fields) != 4 or fields[1] != kind:
+                    raise ParseError(f"line {lineno}: malformed header {line!r}")
+                try:
+                    counts = int(fields[2]), int(fields[3])
+                except ValueError:
+                    raise ParseError(f"line {lineno}: malformed header {line!r}") from None
+                for count, message in zip(counts, negative):
+                    if count < 0:
+                        raise ParseError(f"line {lineno}: {message} {line!r}")
+            elif read_line(lineno, line, fields, counts):
+                end = lineno - 1
+                break
+        start = stop
+    if counts is None:
+        raise ParseError(f"missing 'p {kind}' header")
+    return counts
 
 
 def normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -105,9 +166,6 @@ class Graph:
         return max(self.degrees(), default=0)
 
 
-_BLOCK_LINES = 256
-
-
 def _read_block(lines: list[str], n: int) -> list[tuple[int, int]] | None:
     """The ordered 0-indexed pairs of a block of lines that are all edge
     lines "e u v" with 1 <= u, v <= n and u != v, or None.
@@ -136,68 +194,35 @@ def parse_graph(text: str) -> Graph:
     edges are deduplicated.  Malformed headers, negative counts, endpoints
     out of range, and self-loops raise ParseError naming the line.
 
-    One pass reads the lines in order.  Up to and including the header they
-    are walked one at a time.  After it, each block of ``_BLOCK_LINES`` lines
-    is read in bulk by ``_read_block``: split into tokens, converted and
-    range-checked as a whole, and ordered pair by pair.  A block the bulk
-    step cannot take whole (a comment, a blank line, a second header, a bad
-    token, an out-of-range endpoint, a self-loop, an unrecognized or
-    malformed line) is walked line by line, so every error names the
-    offending line.  The graph is built without the constructor's check,
-    which this reading has already made.
+    ``_read_dimacs`` reads the text, with ``_read_block`` as its bulk step
+    and the "e"-line rule below for the lines it walks.  The graph is built
+    without the constructor's check, which this reading has already made.
     """
-    lines = text.splitlines()
-    n = None
     edges: set[tuple[int, int]] = set()
-    start = 0
-    while start < len(lines):
-        if n is None:
-            stop = start + 1
-        else:
-            stop = start + _BLOCK_LINES
-            block = _read_block(lines[start:stop], n)
-            if block is not None:
-                edges.update(block)
-                start = stop
-                continue
-        for lineno in range(start + 1, min(stop, len(lines)) + 1):
-            line = lines[lineno - 1].strip()
-            if not line or line.startswith("c"):
-                continue
-            fields = line.split()
-            if fields[0] == "p":
-                if n is not None:
-                    raise ParseError(f"line {lineno}: duplicate header {line!r}")
-                if len(fields) != 4 or fields[1] != "edge":
-                    raise ParseError(f"line {lineno}: malformed header {line!r}")
-                try:
-                    n, m = int(fields[2]), int(fields[3])
-                except ValueError:
-                    raise ParseError(f"line {lineno}: malformed header {line!r}") from None
-                if n < 0:
-                    raise ParseError(f"line {lineno}: negative vertex count {line!r}")
-                if m < 0:
-                    raise ParseError(f"line {lineno}: negative edge count {line!r}")
-            elif fields[0] == "e":
-                if n is None:
-                    raise ParseError(f"line {lineno}: edge before header {line!r}")
-                if len(fields) != 3:
-                    raise ParseError(f"line {lineno}: malformed edge line {line!r}")
-                try:
-                    u, v = int(fields[1]), int(fields[2])
-                except ValueError:
-                    raise ParseError(f"line {lineno}: malformed edge line {line!r}") from None
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise ParseError(f"line {lineno}: endpoint out of range {line!r}")
-                if u == v:
-                    raise ParseError(f"line {lineno}: self-loop {line!r}")
-                edges.add((u - 1, v - 1) if u < v else (v - 1, u - 1))
-            else:
-                raise ParseError(f"line {lineno}: unrecognized line {line!r}")
-        start = stop
-    if n is None:
-        raise ParseError("missing 'p edge' header")
-    del lines  # freed before the edges are copied, which is this reading's peak
+
+    def read_block(lines: list[str], n: int, _: int) -> bool:
+        pairs = _read_block(lines, n)
+        edges.update(pairs or ())
+        return pairs is not None
+
+    def read_line(lineno: int, line: str, fields: list[str], counts: tuple[int, int] | None) -> None:
+        if fields[0] != "e":
+            raise ParseError(f"line {lineno}: unrecognized line {line!r}")
+        if counts is None:
+            raise ParseError(f"line {lineno}: edge before header {line!r}")
+        if len(fields) != 3:
+            raise ParseError(f"line {lineno}: malformed edge line {line!r}")
+        try:
+            u, v = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed edge line {line!r}") from None
+        if not (1 <= u <= counts[0] and 1 <= v <= counts[0]):
+            raise ParseError(f"line {lineno}: endpoint out of range {line!r}")
+        if u == v:
+            raise ParseError(f"line {lineno}: self-loop {line!r}")
+        edges.add((u - 1, v - 1) if u < v else (v - 1, u - 1))
+
+    n, _ = _read_dimacs(text, "edge", ("negative vertex count", "negative edge count"), read_block, read_line)
     return Graph._built(n, frozenset(edges))
 
 

@@ -5,12 +5,10 @@ A formula's literals are range-checked once, where it enters the library:
 by the ``CnfFormula`` constructor, or by ``parse_cnf`` as it reads them.
 The reductions, ``parse_cnf`` and ``is_satisfiable``'s eliminated core build
 their formulas unchecked; ``restrict`` still checks its output.
-DIMACS text is read in one pass.  After the header, each block of lines is
-split into integer tokens and cut at the zeros in bulk; a block the bulk step
-cannot take whole (a comment, the "%" trailer, a bad or out-of-range token,
-an empty or surplus clause) is walked line by line instead, so errors name
-the offending line.  Formulas are written one line per clause through a
-format string built once per clause width.
+DIMACS text is read by the DIMACS reader in ``rescol.graphs``, with a bulk
+step here that cuts each block's integer tokens into clauses at the zeros.
+Formulas are written one line per clause through a format string
+built once per clause width.
 A formula survives a restriction when it stays satisfiable after the
 restricted variables are pinned to their values.  It is r-resilient when it
 survives every restriction of exactly r variables.
@@ -43,7 +41,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterable, Reversible
 
-from .graphs import InputError, ParseError
+from .graphs import InputError, ParseError, _read_dimacs
 from .resilience import (
     SATURATED,
     _bits,
@@ -147,10 +145,6 @@ class SatResilienceVerdict:
     restrictions_checked: int
 
 
-# lines of clause text tokenised at a time after the header
-_BLOCK_LINES = 256
-
-
 def parse_cnf(text: str) -> CnfFormula:
     """Read DIMACS CNF: a "p cnf n m" header, then m clauses, each a run of
     literals ended by 0.
@@ -159,94 +153,72 @@ def parse_cnf(text: str) -> CnfFormula:
     are comments, and a line starting with "%" ends the input (the SATLIB
     trailer).  Literal order inside clauses is preserved.
 
-    One pass reads the lines in order.  Up to and including the header they
-    are walked one at a time.  After it, each block of ``_BLOCK_LINES`` lines
-    is read in bulk: split into integer tokens, range-checked as a whole and
-    cut into clauses at the zeros.  A block the bulk step cannot take whole
-    (a comment, the "%" trailer, a second header, a bad token, an
-    out-of-range literal, an empty clause or a clause past the announced
-    count) is rolled back and walked line by line, so every error names the
-    offending line.
+    ``rescol.graphs._read_dimacs`` reads the text.  Its blocks after the
+    header are read in bulk here: split into integer tokens, range-checked
+    as a whole and cut into clauses at the zeros.  A block holding a
+    comment, the "%" trailer, a bad or out-of-range token, an empty clause
+    or a clause past the announced count is not taken, and its lines are
+    read one at a time.  The open clause is carried from line to line and
+    block to block.
     """
-    lines = text.splitlines()
-    num_vars = expected = None
     clauses: list[Clause] = []
-    body: list[int] = []  # the open clause, carried from line to line and block to block
-    start, end = 0, len(lines)  # end drops to a "%" line, where the input stops
-    while start < end:
-        if num_vars is None:
-            stop = start + 1
-        else:
-            stop, mark, taken = start + _BLOCK_LINES, len(clauses), True
-            try:
-                lits = [*body, *map(int, " ".join(lines[start:stop]).split())]
-            except ValueError:  # a comment, "%", a second header or a bad token
-                lits, taken = [], False
-            if lits and (max(lits) > num_vars or min(lits) < -num_vars):
-                taken = False
-            pos = 0
-            for _ in range(lits.count(0) if taken else 0):
-                cut = lits.index(0, pos)
-                if cut == pos:  # an empty clause
-                    taken = False
-                    break
-                clauses.append(tuple(lits[pos:cut]))
-                pos = cut + 1
-            if taken and len(clauses) <= expected:
-                body = lits[pos:]
-                start = stop
-                continue
-            del clauses[mark:]  # the walk below starts where the block did; body is untouched
-        for lineno in range(start + 1, min(stop, end) + 1):
-            line = lines[lineno - 1].strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("%"):
-                end = lineno - 1
-                break
-            fields = line.split()
-            if fields[0] == "p":
-                if num_vars is not None:
-                    raise ParseError(f"line {lineno}: duplicate header {line!r}")
-                if len(fields) != 4 or fields[1] != "cnf":
-                    raise ParseError(f"line {lineno}: malformed header {line!r}")
-                try:
-                    num_vars, expected = int(fields[2]), int(fields[3])
-                except ValueError:
-                    raise ParseError(f"line {lineno}: malformed header {line!r}") from None
-                if num_vars < 0 or expected < 0:
-                    raise ParseError(f"line {lineno}: negative counts {line!r}")
-                continue
-            if num_vars is None:
-                raise ParseError(f"line {lineno}: clause before header {line!r}")
-            try:
-                lits = [int(tok) for tok in fields]
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed clause {line!r}") from None
-            for lit in lits:
-                if lit:
-                    if abs(lit) > num_vars:
-                        raise ParseError(f"line {lineno}: variable out of range {line!r}")
-                    body.append(lit)
-                elif not body:
-                    raise ParseError(f"line {lineno}: empty clause {line!r}")
-                elif len(clauses) == expected:
-                    raise ParseError(
-                        f"line {lineno}: stray 0 closes clause {expected + 1} "
-                        f"of {expected} announced {line!r}"
-                    )
-                else:
-                    clauses.append(tuple(body))
-                    body = []
-        start = stop
+    body: list[int] = []  # the open clause
+
+    def read_block(lines: list[str], num_vars: int, expected: int) -> bool:
+        try:
+            lits = (*body, *map(int, " ".join(lines).split()))
+        except ValueError:  # a comment, "%", a second header or a bad token
+            return False
+        zeros = lits.count(0)
+        if lits and (max(lits) > num_vars or min(lits) < -num_vars) or len(clauses) + zeros > expected:
+            return False
+        closed, pos = [], 0
+        for _ in range(zeros):
+            cut = lits.index(0, pos)
+            closed.append(lits[pos:cut])
+            pos = cut + 1
+        if not all(closed):  # an empty clause
+            return False
+        clauses.extend(closed)
+        body[:] = lits[pos:]
+        return True
+
+    def read_line(lineno: int, line: str, fields: list[str], counts: tuple[int, int] | None) -> bool | None:
+        if line.startswith("%"):  # the trailer ends the input
+            return True
+        if counts is None:
+            raise ParseError(f"line {lineno}: clause before header {line!r}")
+        num_vars, expected = counts
+        try:
+            lits = [int(tok) for tok in fields]
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed clause {line!r}") from None
+        for lit in lits:
+            if lit:
+                if abs(lit) > num_vars:
+                    raise ParseError(f"line {lineno}: variable out of range {line!r}")
+                body.append(lit)
+            elif not body:
+                raise ParseError(f"line {lineno}: empty clause {line!r}")
+            elif len(clauses) == expected:
+                raise ParseError(
+                    f"line {lineno}: stray 0 closes clause {expected + 1} "
+                    f"of {expected} announced {line!r}"
+                )
+            else:
+                clauses.append(tuple(body))
+                body.clear()
+
+    num_vars, expected = _read_dimacs(text, "cnf", ("negative counts",) * 2, read_block, read_line)
     if body:
-        # the open clause's last line is the last one read that is neither
-        # blank nor a comment
-        while not (line := lines[end - 1].strip()) or line.startswith("c"):
-            end -= 1
-        raise ParseError(f"line {end}: missing terminating 0 {line!r}")
-    if num_vars is None:
-        raise ParseError("missing 'p cnf' header")
+        # the open clause's last line is the last one before any "%" trailer
+        # that is neither blank nor a comment
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), 1):
+            if line.startswith("%"):
+                break
+            if line and not line.startswith("c"):
+                last = lineno, line
+        raise ParseError(f"line {last[0]}: missing terminating 0 {last[1]!r}")
     if expected != len(clauses):
         raise ParseError(f"header announced {expected} clauses, found {len(clauses)}")
     return CnfFormula._built(num_vars, tuple(clauses))

@@ -650,19 +650,24 @@ def test_closed_stderr_keeps_the_exit_code(argv, stdin, code, closed):
         (">&-", ["color", "--k", "3"], PETERSEN),
         (">&-", ["classics", "petersen"], ""),
         ("2>&- >/dev/null", ["reduce", "--kind", "blowup", "--s", "2"], "p cnf 3 1\n1 2 3 0\n"),
+        ("<&-", ["color", "--k", "3"], None),
+        ("<&-", ["resilience", "--mode", "sat", "--r", "0"], None),
+        ("<&-", ["reduce", "--kind", "blowup", "--s", "2"], None),
     ],
-    ids=["color-report", "classics-artifact", "reduce-report"],
+    ids=["color-report", "classics-artifact", "reduce-report", "color-stdin", "resilience-stdin", "reduce-stdin"],
 )
 def test_stream_closed_before_start_up_exits_two(redirect, argv, stdin):
     """A report or artifact bound for a descriptor closed before start-up
     (its stream None) cannot be written, so the run exits 2 as it does for
-    any closed stream, never 0 with the output dropped."""
+    any closed stream, never 0 with the output dropped.  An input read from
+    a stdin closed before start-up cannot be read, so that run exits 2 too,
+    never 1 as for a negative verdict."""
     proc = subprocess.run(
         ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "rescol.cli"] + argv,
         input=stdin, stderr=subprocess.PIPE, env=_cli_env(), text=True, timeout=60,
     )
     assert proc.returncode == 2
-    if redirect == ">&-":
+    if "2>&-" not in redirect:
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 

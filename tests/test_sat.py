@@ -19,7 +19,7 @@ from conftest import (
     reference_first_uncovered,
     sat_table,
 )
-from rescol import sat
+from rescol import graphs, sat
 from rescol.graphs import ParseError
 from rescol.reductions import blow_up, hardness_chain
 from rescol.sat import (
@@ -152,7 +152,7 @@ def test_parse_errors(text, message):
     assert str(caught.value) == message
 
 
-_DEFAULT_BLOCK_LINES = sat._BLOCK_LINES
+_DEFAULT_BLOCK_LINES = graphs._BLOCK_LINES
 _LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85")
 # int() reads the first four as -0, 0, 1 and 10, and U+0661 (Arabic-Indic
 # one) as 1; the rest are no integers at all
@@ -188,7 +188,8 @@ def _random_dimacs(rng: random.Random) -> str:
     if rng.random() < 0.05:
         counts[rng.randrange(2)] = rng.choice(_ODD_TOKENS)
     if rng.random() < 0.97:
-        lines.append(rng.choice(("", " ")) + "p cnf " + " ".join(counts) + rng.choice(("", " ", "\t")))
+        kind = rng.choice(("cnf",) * 30 + ("edge",))
+        lines.append(rng.choice(("", " ")) + f"p {kind} " + " ".join(counts) + rng.choice(("", " ", "\t")))
     line: list[str] = []
     for tok in tokens:
         line.append(tok)
@@ -310,7 +311,7 @@ def test_parse_matches_line_walker(monkeypatch):
     seen = set()
     for _ in range(20_000):
         text = _random_dimacs(rng)
-        monkeypatch.setattr(sat, "_BLOCK_LINES", rng.choice((1, 2, 3, 1024, _DEFAULT_BLOCK_LINES)))
+        monkeypatch.setattr(graphs, "_BLOCK_LINES", rng.choice((1, 2, 3, 1024, _DEFAULT_BLOCK_LINES)))
         expected = _outcome(_reference_parse, text)
         assert _outcome(parse_cnf, text) == expected, repr(text)
         if isinstance(expected, CnfFormula):
@@ -379,7 +380,7 @@ def test_parse_long_texts_match_line_walker():
     """Texts of several default blocks agree with the line walker, with the
     comments, trailer or damage landing mid-body, in a block the bulk step
     rejects between blocks it takes."""
-    assert sat._BLOCK_LINES == _DEFAULT_BLOCK_LINES
+    assert graphs._BLOCK_LINES == _DEFAULT_BLOCK_LINES
     rng = random.Random(25)
     formulas, seen = 0, set()
     for _ in range(200):

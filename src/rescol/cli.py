@@ -20,7 +20,10 @@ be written, and a report that cannot be written exits 2.  Such a stream is
 pointed at the null device, so the interpreter's flush at exit stays
 silent; a descriptor closed before start-up, which leaves its stream None,
 is unwritable like any closed one, and a command reading such a stdin exits
-2 as for an unreadable file.  The library checks its own arguments;
+2 as for an unreadable file.  An input named ``-`` or not named at all is
+stdin, and it is decoded as strict UTF-8 like a file, whatever the locale;
+``reduce -o -`` writes its artifact to stdout, as ``reduce`` with no ``-o``
+does.  The library checks its own arguments;
 any other ValueError is an internal error and is raised, not reported as
 exit 2.
 
@@ -63,15 +66,20 @@ _CLASSICS_TABLE = (
 
 
 def _read_text(path: str | None) -> str:
+    from_stdin = path is None or path == "-"
     try:
-        if path is None or path == "-":
-            if sys.stdin is None:  # descriptor 0 closed before start-up
-                raise InputError("stdin is closed")
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        if not from_stdin:
+            with open(path, "r", encoding="utf-8") as fh:
+                return fh.read()
+        if sys.stdin is None:  # descriptor 0 closed before start-up
+            raise InputError("stdin is closed")
+        # the interpreter decodes stdin by the locale, whose error handler may
+        # let any byte through, so its bytes are decoded here as a file's are;
+        # a stdin replaced by a text stream (io.StringIO) has no bytes
+        buffer = getattr(sys.stdin, "buffer", None)
+        return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path or 'stdin'} is not UTF-8 text: {exc}") from None
+        raise InputError(f"{'stdin' if from_stdin else path} is not UTF-8 text: {exc}") from None
 
 
 def _edge_witness(pairs: tuple[tuple[int, int], ...]) -> str:
@@ -145,8 +153,8 @@ def _cmd_reduce(args) -> tuple[int, TextIO | None, list]:
         ("input_clauses", len(phi.clauses)),
     ]
     if args.kind == "to-coloring":
-        if args.output is None:
-            raise InputError("to-coloring requires -o for the graph and sidecar files")
+        if args.output is None or args.output == "-":
+            raise InputError("to-coloring requires -o with a file path for the graph and sidecar files")
         gg = six_cnf_to_graph(phi, vertex_budget=budget)
         artifact = serialize_graph(gg.graph)
         sidecar = (args.output + ".gadgets.json", provenance_json(gg))
@@ -172,7 +180,7 @@ def _cmd_reduce(args) -> tuple[int, TextIO | None, list]:
             ("output_clauses", len(psi.clauses)),
             ("output_width", psi.width),
         ]
-    if args.output is None:
+    if args.output is None or args.output == "-":
         sys.stdout.write(artifact)
         report.append(("output", "-"))
     else:
@@ -249,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("--kind", choices=("blowup", "shrink", "chain", "to-coloring"), required=True)
     p_red.add_argument("--s", type=int, default=None, help="number of copies (blowup)")
     p_red.add_argument("--r", type=int, default=None, help="target resilience (chain)")
-    p_red.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+    p_red.add_argument("-o", "--output", default=None, help="output path (default or '-': stdout)")
     p_red.set_defaults(func=_cmd_reduce)
 
     p_cls = sub.add_parser(

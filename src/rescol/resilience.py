@@ -111,16 +111,16 @@ def _first_uncovered(
     the next group has every completion covered and is dropped.  At the
     last group only the node's escape set, the later elements outside every
     covering certificate, can be uncovered.  A last-level node (size - 1
-    elements) is made with its escape set, and only when that set is not
-    empty; inner nodes keep 0 there.  The subsets a last-level node's mask
-    makes with the elements still in its escape set are solved in canonical
-    order.  ``solve(mask)`` returns a certificate mask containing mask,
-    which joins the store, the cover of every stacked node inside it and,
-    through its complement, that node's escape set, or None, which ends the
-    scan at that mask.  The count is the mask's canonical rank plus one, or
-    every subset when none is uncovered, so it equals the count of a scan
-    that visits every subset.  A size-0 scan must run on a fresh store: it
-    solves the empty subset.
+    elements) is made with its escape set, and, below the root, only when
+    that set is not empty; inner nodes keep 0 there.  The subsets a
+    last-level node's mask makes with the elements still in its escape set
+    are solved in canonical order.  ``solve(mask)`` returns a certificate
+    mask containing mask, which joins the store, the cover of every stacked
+    node inside it and, through its complement, that node's escape set, or
+    None, which ends the scan at that mask.  The count is the mask's
+    canonical rank plus one, or every subset when none is uncovered, so it
+    equals the count of a scan that visits every subset.  A size-0 scan
+    must run on a fresh store: it solves the empty subset.
     """
     groups, choices = store.groups, store.choices
     covers, complements, dead = store.covers, store.complements, store.dead
@@ -194,14 +194,8 @@ def _first_uncovered(
         return None
 
     everything = (1 << len(complements)) - 1
-    if size > 1:
-        stack.append([[0, everything, 0]])
-        found = search(stack[0], 0, 0)
-    elif free := escape(everything, universe):
-        stack.append([[0, everything, free]])
-        found = last_pick(stack[0])
-    else:
-        found = None
+    stack.append([[0, everything, escape(everything, universe) if size == 1 else 0]])
+    found = last_pick(stack[0]) if size == 1 else search(stack[0], 0, 0)
     # search reaches itself through its closure; dropping it frees the
     # scan's nodes and solver now rather than at the next cycle collection
     del search

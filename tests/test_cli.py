@@ -264,6 +264,29 @@ def test_reduce_shrink_to_file(tmp_path, capsys):
     assert report["output_width"] == "4"
 
 
+@pytest.mark.parametrize(
+    "argv, reduction",
+    [
+        (["--kind", "blowup", "--s", "2"], lambda phi: blow_up(phi, 2)),
+        (["--kind", "shrink"], shrink_down),
+        (["--kind", "chain", "--r", "2"], lambda phi: hardness_chain(2, phi)),
+    ],
+    ids=["blowup", "shrink", "chain"],
+)
+def test_reduce_output_dash_is_stdout(tmp_path, monkeypatch, capsys, argv, reduction):
+    """-o - writes the artifact to stdout, as - names stdin for the input,
+    and leaves no file named -."""
+    phi = CnfFormula.make(3, ((1, 2, 3), (-1, -2, 3)))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_cnf(phi)))
+    rc = main(["reduce", "-", "-o", "-"] + argv)
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert parse_cnf(captured.out) == reduction(phi)
+    assert report_dict(captured.err)["output"] == "-"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reduce_shrink_rejects_narrow_input(tmp_path, capsys):
     rc = main(["reduce", write_cnf(tmp_path, CnfFormula.make(1, ((1,),))), "--kind", "shrink"])
     assert rc == 2
@@ -318,10 +341,13 @@ def test_budget_exceeded_exits_three(tmp_path, capsys, clauses, argv):
         (["--kind", "to-coloring"], "p cnf 3 1\n1 2 3 0\n", 2, "requires -o"),
         (["--kind", "blowup", "--s", "2", "-o", "{missing}"], "p cnf 3 1\n1 2 3 0\n", 2, "No such file"),
         (["--kind", "to-coloring", "-o", "{missing}"], "p cnf 6 1\n1 2 3 4 5 6 0\n", 2, "No such file"),
+        # the sidecar is named after the graph file, so the graph cannot go to stdout
+        (["--kind", "to-coloring", "-o", "-"], "p cnf 6 1\n1 2 3 4 5 6 0\n", 2, "requires -o with a file path"),
     ],
 )
 def test_reduce_failure_leaves_only_the_error_line(tmp_path, monkeypatch, capsys, argv, stdin, code, message):
     """A reduce that exits 2 or 3 writes no partial report and no artifact."""
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     missing = str(tmp_path / "missing" / "out")
     rc = main(["reduce"] + [arg.format(missing=missing) for arg in argv])
@@ -330,6 +356,7 @@ def test_reduce_failure_leaves_only_the_error_line(tmp_path, monkeypatch, capsys
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and message in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reduce_to_coloring_unwritable_graph_leaves_no_sidecar(tmp_path, monkeypatch, capsys):
@@ -669,6 +696,32 @@ def test_stream_closed_before_start_up_exits_two(redirect, argv, stdin):
     assert proc.returncode == 2
     if "2>&-" not in redirect:
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("encoding", [None, "latin-1"], ids=["locale", "latin-1"])
+@pytest.mark.parametrize("source", ["pipe", "dash", "file"])
+def test_input_that_is_not_utf8_exits_two(tmp_path, source, encoding):
+    """Input bytes are decoded as strict UTF-8 whether they come from a file
+    or from stdin.  Under the C locale the interpreter would decode stdin
+    with surrogateescape, and under PYTHONIOENCODING=latin-1 it would take
+    any byte, so a bad byte in a comment would go unnoticed."""
+    data = b"c \xff\np edge 2 1\ne 1 2\n"
+    path = tmp_path / "bad.col"
+    path.write_bytes(data)
+    env = {key: value for key, value in _cli_env().items() if key != "PYTHONIOENCODING"}
+    env["LC_ALL"] = "C"
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
+    argv = {"pipe": [], "dash": ["-"], "file": [str(path)]}[source]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rescol.cli", "color", "--k", "2"] + argv,
+        input=None if source == "file" else data, capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    name = str(path) if source == "file" else "stdin"
+    lines = proc.stderr.decode("utf-8").splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name} is not UTF-8 text: ")
 
 
 @pytest.mark.parametrize("error, code", [(InputError, 2), (BudgetExceededError, 3)])

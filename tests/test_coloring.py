@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import TAIL_8_14, brute_colorable, random_graph
+from conftest import TAIL_8_14, brute_colorable, count_calls, random_graph
 from rescol import coloring
 from rescol.coloring import (
     DegreeWitness,
@@ -190,7 +190,8 @@ def planted_3cnf(seed: int, num_vars: int, num_clauses: int, min_true: int) -> C
             (2753, 5040),
             "99a7b016146d04058e5068d3b2d55d5cae24d7b79675a9c2475ab30ff08d4496",
         ),
-        # 4,209 color tries and 96 backjumps
+        # 4,209 color tries and 96 backjumps; the search's shape is pinned
+        # by test_tail_8_14_search_shape
         (
             TAIL_8_14,
             (3689, 6756),
@@ -221,6 +222,19 @@ def test_one_planted_gadget_colorings_are_frozen():
         assert validate_coloring(g, colors, 3)
         digest.update(bytes(colors))
     assert digest.hexdigest() == "12aff2c3d99b55386337dd4819e7f2f8e144b62d54451101df1e7dce583b4d6f"
+
+
+def test_tail_8_14_search_shape(monkeypatch):
+    """The colouring search on TAIL_8_14's 3,689-vertex gadget graph, pinned
+    by its calls: the forced-color steps run, the retracts (one per
+    wipe-out or backjump) and the explanation masks built.  A change that
+    keeps the search move for move keeps all three."""
+    g = three_sat_to_coloring(TAIL_8_14).graph
+    force = count_calls(monkeypatch, coloring, "_force")
+    retract = count_calls(monkeypatch, coloring, "_retract")
+    removers = count_calls(monkeypatch, coloring, "_removers")
+    assert is_k_colorable(g, 3) is not None
+    assert (force[0], retract[0], removers[0]) == (1823, 226, 11382)
 
 
 def test_forced_color_step_starts_from_the_try(monkeypatch):

@@ -60,6 +60,10 @@ def _removers(u: int, base: list[int], avail: list[int], why: list[list[int]]) -
     return conf
 
 
+# the colors of each 3-bit mask, so a removal writes why for its colors alone
+_COLORS = tuple(tuple(c for c in range(3) if gone >> c & 1) for gone in range(8))
+
+
 def _force(
     queue: list[int],
     nbrs: Sequence[Sequence[int]],
@@ -70,43 +74,38 @@ def _force(
     trail: list[int],
 ) -> int:
     """The forced-color step of ``_solve_masks`` at k = 3, run to a fixpoint
-    from the uncolored vertices in queue.  Each removal goes on the trail as
-    two entries, vertex then colors; returns a wiped-out vertex, or -1."""
+    from the uncolored vertices in queue.
+
+    A popped vertex u heads the Hall sets of one and two vertices that it is
+    in: u alone when it has one color left, or else u with each uncolored
+    neighbor w left with the same two colors.  A set's colors are removed
+    from every uncolored vertex adjacent to all of it, explained by the
+    removers of its vertices.  Each removal goes on the trail as two
+    entries, vertex then colors, and its vertex is queued; returns a
+    wiped-out vertex, or -1."""
     while queue:
         u = queue.pop()
-        a = avail[u]
-        if a & (a - 1) == 0:  # one color left: no neighbor may take it
-            removed_by = why[a.bit_length() - 1]
-            because = 0
-            for w in nbrs[u]:
-                if avail[w] & a and color[w] == -1:
-                    if not because:
-                        because = ~_removers(u, base, avail, why)
-                    avail[w] ^= a
-                    removed_by[w] = because
-                    trail += w, a
-                    if not avail[w]:
-                        return w
-                    queue.append(w)
-        elif a != 7:  # two colors left: a neighbor left with the same two takes the other
-            for w in nbrs[u]:
-                if avail[w] == a and color[w] == -1:
-                    because = 0
-                    for x in nbrs[w]:
-                        gone = avail[x] & a
-                        if gone and color[x] == -1 and x in nbrs[u]:
-                            if not because:
-                                because = ~(
-                                    _removers(u, base, avail, why) | _removers(w, base, avail, why)
-                                )
-                            avail[x] ^= gone
-                            trail += x, gone
-                            for c in range(3):
-                                if gone >> c & 1:
-                                    why[c][x] = because
-                            if not avail[x]:
-                                return x
-                            queue.append(x)
+        a = avail[u]  # never all three: a queued vertex has lost a color
+        one = a & (a - 1) == 0
+        for w in (u,) if one else nbrs[u]:
+            if avail[w] == a and color[w] == -1:
+                because = 0
+                for x in nbrs[w]:
+                    gone = avail[x] & a
+                    if gone and color[x] == -1 and (one or x in nbrs[u]):
+                        if not because:
+                            because = ~(
+                                _removers(u, base, avail, why)
+                                if one
+                                else _removers(u, base, avail, why) | _removers(w, base, avail, why)
+                            )
+                        avail[x] ^= gone
+                        trail += x, gone
+                        for c in _COLORS[gone]:
+                            why[c][x] = because
+                        if not avail[x]:
+                            return x
+                        queue.append(x)
     return -1
 
 
@@ -143,13 +142,13 @@ def _solve_masks(
     built only on a wipe-out or when its colors run out.
 
     At k = 3 a try that survives its forward check runs the forced-color
-    step from the vertices it pruned, to a fixpoint:
-
-    * a vertex u left with one color removes it from its uncolored
-      neighbors, explained by ``_removers(u)``;
-    * two adjacent uncolored vertices u and w left with the same two colors
-      remove both from every common uncolored neighbor, explained by
-      ``_removers(u) | _removers(w)``.
+    step from the vertices it pruned, to a fixpoint, with one rule: a Hall
+    set of uncolored vertices, either a vertex u left with one color or two
+    adjacent vertices u and w left with the same two, removes its colors
+    from every uncolored vertex adjacent to all of it, explained by
+    ``_removers(u)`` for u alone and ``_removers(u) | _removers(w)`` for a
+    pair.  The forward check is the same rule for the vertex just colored,
+    kept inline in the search loop.
 
     An explanation holds the positions whose assignments alone imply the
     removal, all at or below the current one, so a wipe-out's conflict set,
@@ -165,9 +164,9 @@ def _solve_masks(
     The forced-color step starts from this try's prunes, the vertices on
     the trail past the mark.
 
-    At k >= 4 the step is not run: a vertex needs k - 1 removals before the
-    first rule applies, and the second needs k - 2 of them on both ends of
-    an edge, so the rules seldom fire while the step still scans the
+    At k >= 4 the step is not run: a vertex needs k - 1 removals before it
+    is a Hall set alone, and a pair needs k - 2 of them on both ends of an
+    edge, so the rule seldom fires while the step still scans the
     neighbors of every pruned vertex on every try.
     """
     fixed = fixed or {}
@@ -278,18 +277,18 @@ def greedy_color_bounded_degree(g: Graph, k: int) -> Coloring | DegreeWitness:
 
     A single pass in ascending vertex order gives each vertex the least color
     unused by its already-colored neighbors; with max degree <= k - 1 that
-    color always exists.  Otherwise the least-index vertex of degree >= k is
-    returned as a DegreeWitness instead.
+    color always exists, and it is below n, so the colors are masks of
+    min(k, n) bits whatever k is.  Otherwise the pass stops at the
+    least-index vertex of degree >= k and returns it as a DegreeWitness.
     """
     if k < 1:
         raise InputError("k must be >= 1")
     nbrs = g.neighbors
+    full = (1 << min(k, g.n)) - 1
+    colors = [0] * g.n
     for v in range(g.n):
         if len(nbrs[v]) >= k:
             return DegreeWitness(vertex=v, degree=len(nbrs[v]))
-    full = (1 << k) - 1
-    colors = [0] * g.n
-    for v in range(g.n):
         used = 0
         for u in nbrs[v]:
             if u > v:

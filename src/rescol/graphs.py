@@ -46,9 +46,11 @@ def _read_dimacs(
     negative: tuple[str, str],
     read_block: Callable[[list[str], int, int], bool],
     read_line: Callable[[int, str, list[str], tuple[int, int] | None], bool | None],
-) -> tuple[int, int]:
+) -> tuple[tuple[int, int], tuple[int, str]]:
     """Read DIMACS text in one pass and return the counts of its
-    "p <kind> a b" header; the format's own lines go to the two readers.
+    "p <kind> a b" header, and the number and stripped text of the last line
+    read that is neither blank nor a comment; the format's own lines go to
+    the two readers.
 
     Blank lines and lines starting with "c" are skipped.  Up to and
     including the header the lines are walked one at a time.  After it,
@@ -58,16 +60,20 @@ def _read_dimacs(
     line, so every error names the offending line.  Each walked line other
     than a header goes to ``read_line(lineno, line, fields, counts)``, with
     counts None before the header; when it returns True the input ends
-    there.  A second header, a header of another kind or with counts that
-    are no integers, and a negative count (reported with the matching
-    message of ``negative``) raise ParseError, as does a missing header.
+    there, and that line is not counted as read.  ``read_block`` takes no
+    block that holds a comment, so a taken block's last non-blank line is
+    the last line read.  A second header, a header of another kind or with
+    counts that are no integers, and a negative count (reported with the
+    matching message of ``negative``) raise ParseError, as does a missing
+    header.
     """
     lines = text.splitlines()
-    counts = None
+    counts = last = None
     start, end = 0, len(lines)  # end drops to the line where read_line ends the input
     while start < end:
         stop = start + (1 if counts is None else _BLOCK_LINES)
         if counts is not None and read_block(lines[start:stop], *counts):
+            last = next((i for i in range(min(stop, end), start, -1) if lines[i - 1].strip()), last)
             start = stop
             continue
         for lineno in range(start + 1, min(stop, end) + 1):
@@ -90,10 +96,11 @@ def _read_dimacs(
             elif read_line(lineno, line, fields, counts):
                 end = lineno - 1
                 break
+            last = lineno
         start = stop
     if counts is None:
         raise ParseError(f"missing 'p {kind}' header")
-    return counts
+    return counts, (last, lines[last - 1].strip())
 
 
 def normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -222,7 +229,7 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"line {lineno}: self-loop {line!r}")
         edges.add((u - 1, v - 1) if u < v else (v - 1, u - 1))
 
-    n, _ = _read_dimacs(text, "edge", ("negative vertex count", "negative edge count"), read_block, read_line)
+    (n, _), _ = _read_dimacs(text, "edge", ("negative vertex count", "negative edge count"), read_block, read_line)
     return Graph._built(n, frozenset(edges))
 
 

@@ -209,16 +209,11 @@ def parse_cnf(text: str) -> CnfFormula:
                 clauses.append(tuple(body))
                 body.clear()
 
-    num_vars, expected = _read_dimacs(text, "cnf", ("negative counts",) * 2, read_block, read_line)
-    if body:
-        # the open clause's last line is the last one before any "%" trailer
-        # that is neither blank nor a comment
-        for lineno, line in enumerate(map(str.strip, text.splitlines()), 1):
-            if line.startswith("%"):
-                break
-            if line and not line.startswith("c"):
-                last = lineno, line
-        raise ParseError(f"line {last[0]}: missing terminating 0 {last[1]!r}")
+    (num_vars, expected), (lineno, line) = _read_dimacs(
+        text, "cnf", ("negative counts",) * 2, read_block, read_line
+    )
+    if body:  # the open clause ends on the last line read
+        raise ParseError(f"line {lineno}: missing terminating 0 {line!r}")
     if expected != len(clauses):
         raise ParseError(f"header announced {expected} clauses, found {len(clauses)}")
     return CnfFormula._built(num_vars, tuple(clauses))

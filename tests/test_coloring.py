@@ -384,6 +384,13 @@ def test_greedy_witness_is_least_index():
     assert got == DegreeWitness(vertex=1, degree=3)
 
 
+def test_greedy_cost_does_not_grow_with_k():
+    """Colors at or above n are never needed, so a huge k colors as k = n
+    does instead of building a k-bit mask."""
+    g = classic("petersen")
+    assert greedy_color_bounded_degree(g, 10**12) == greedy_color_bounded_degree(g, g.n)
+
+
 def test_greedy_succeeds_whenever_degree_bounded():
     rng = random.Random(13)
     for _ in range(200):
@@ -391,10 +398,11 @@ def test_greedy_succeeds_whenever_degree_bounded():
         k = rng.randint(1, 4)
         got = greedy_color_bounded_degree(g, k)
         if g.n and g.max_degree() >= k:
-            assert isinstance(got, DegreeWitness)
-            assert got.degree >= k
+            v = min(v for v in range(g.n) if g.degree(v) >= k)
+            assert got == DegreeWitness(vertex=v, degree=g.degree(v))
         else:
             assert validate_coloring(g, got, k)
+            assert got == greedy_color_bounded_degree(g, k + 10**12)
             # never uses more than max degree + 1 colors
             if g.n:
                 assert max(got) <= g.max_degree()

@@ -322,6 +322,17 @@ def test_parse_matches_line_walker(monkeypatch):
     assert min(tally.values()) > 2_000, tally
 
 
+def test_open_clause_is_named_by_the_last_line_read():
+    """A missing terminating 0 names the last line read that is neither
+    blank nor a comment, whether its block was taken in bulk or walked,
+    and however many blank, comment or trailer lines follow it."""
+    body = "p cnf 2 300\n" + "1 0\n" * 299 + "  1 2 \n"
+    for tail in ("", "\n" * 300, " \n" * 300 + "c end\n", "\n" * 600 + "%\n3 0\n"):
+        with pytest.raises(ParseError) as caught:
+            parse_cnf(body + tail)
+        assert str(caught.value) == "line 301: missing terminating 0 '1 2'"
+
+
 def _long_dimacs(rng: random.Random) -> str:
     """A DIMACS text longer than one default block, with comments, blank
     lines, a "%" trailer or one piece of damage placed anywhere in its body."""

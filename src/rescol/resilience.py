@@ -8,8 +8,9 @@ subset of a universe that no certificate covers.  The universe is split into
 groups, and a subset takes one element from each of r groups: for coloring
 each sorted non-edge is a group of one, and a certificate is a proper
 coloring, covering the non-edges it colors properly; for SAT each variable
-is a group of its two literals, and a certificate is a model, covering its
-true literals.
+is a group of its two literals, and a certificate is a model's implicant,
+covering the true literals of the variables it needs and both literals of
+every variable it leaves free.
 
 ``_first_uncovered`` answers that question for both, and keeps every
 certificate it finds in a ``_CertificateStore`` that a caller can carry
@@ -20,7 +21,7 @@ element is picked in bulk from the elements no such certificate contains; a
 prefix one short of full size is made only when such an element is left.
 Only subsets no certificate covers run the exact solver.  Cache hits can
 never flip a verdict: a certificate that covers a subset is itself a
-coloring of the augmented graph, or a model of the restricted formula.
+coloring of the augmented graph, or an implicant of the restricted formula.
 """
 from __future__ import annotations
 
@@ -84,8 +85,8 @@ class _CertificateStore:
         complement = self.universe & ~cert
         self.complements.append(complement)
         # a certificate is dense (a coloring colors most non-edges properly,
-        # a model holds half the literals), so one walk over all its digits
-        # beats a _bits seek per set bit
+        # an implicant holds at least half the literals), so one walk over
+        # all its digits beats a _bits seek per set bit
         covers = self.covers
         for e, digit in enumerate(bin(cert)[:1:-1]):
             if digit == "1":

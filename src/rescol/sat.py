@@ -27,12 +27,15 @@ the top variables that occur in at most one clause of each polarity
 (Davis–Putnam elimination, which never grows the formula; the switch
 variables of ``hardness_chain``'s shrink rounds are such), runs the solver
 on the remaining core, and extends its least model to phi's least model.
-Resilience scans keep every model found so far and
-run the lex-prefix search of ``rescol.resilience`` over variable prefixes,
-so a restriction that agrees with a kept model is survived without a solve,
-and without being visited.  Such hits can never flip a verdict, because the
-kept model is a model of the restricted formula.  Each scan solve takes a
-phase drawn from its restriction, so kept models differ and cover more.
+Resilience scans keep, for every model found so far, its implicant: the
+first literal of each clause that the model makes true, with every other
+variable left free, both of its values allowed.  They run the lex-prefix
+search of ``rescol.resilience`` over variable prefixes, so a restriction
+that agrees with a kept implicant is survived without a solve, and without
+being visited.  Such hits can never flip a verdict, because every
+assignment that agrees with a kept implicant is a model, so the restricted
+formula has one.  Each scan solve takes a phase drawn from its restriction,
+so kept implicants differ and cover more.
 """
 from __future__ import annotations
 
@@ -543,11 +546,31 @@ def restrict(phi: CnfFormula, rho: Restriction) -> CnfFormula:
     return CnfFormula(phi.num_vars, tuple(out))
 
 
-def _model_mask(model: Reversible[bool]) -> int:
-    """The literals a model makes true, as a mask with bit 2*(variable-1) + value."""
-    # variable v's two bits read "10" when it is true and "01" when false,
-    # the last variable's pair first
-    return int("".join(["10" if val else "01" for val in reversed(model)]) or "0", 2)
+def _implicant_mask(phi: CnfFormula, model: Reversible[bool]) -> int:
+    """The literals of a model's implicant, as a mask with bit 2*(variable-1) + value.
+
+    Each clause is supported by its first literal that the model makes
+    true.  A supporting variable keeps its model literal; a variable that
+    supports no clause is free, and both of its literals are in the mask.
+    Every assignment that agrees with the model on the supporting variables
+    still makes each clause's support true, so each is a model of phi.
+    """
+    n = phi.num_vars
+    # holds[lit] tells whether literal lit is true in the model, and
+    # supports[lit] whether it supports a clause; negative literals index
+    # from the end of these 2n+1 lists
+    holds = [False, *model, *[not val for val in reversed(model)]]
+    supports = [False] * (2 * n + 1)
+    for cl in phi.clauses:
+        for lit in cl:
+            if holds[lit]:
+                supports[lit] = True
+                break
+    # variable v's two bits read "10" when its true literal supports a
+    # clause, "01" when its false one does and "11" when it is free, the
+    # last variable's pair first
+    digits = ["10" if supports[v] else "01" if supports[-v] else "11" for v in range(n, 0, -1)]
+    return int("".join(digits) or "0", 2)
 
 
 def _fixes(mask: int) -> list[tuple[int, bool]]:
@@ -557,14 +580,16 @@ def _fixes(mask: int) -> list[tuple[int, bool]]:
 
 def _model_certifier(phi: CnfFormula) -> Callable[[int], int | None]:
     """The solve of a formula scan: a literal mask maps to the literal mask of
-    a model that makes those literals true, or to None when there is none.
+    the implicant (``_implicant_mask``) of a model that makes those literals
+    true, or to None when there is none.  The implicant holds the mask, since
+    each restricted variable is either free in it or held at its model value.
 
     ``is_satisfiable`` answers the empty mask on its eliminated core; any
     other mask may fix eliminated variables, so one solver over all of phi,
     built at the first such mask (an r = 0 scan builds none), answers it.
     Least models all look alike, so each would cover few restrictions that
     earlier ones miss.  Those solves therefore take a pseudo-random phase
-    seeded with the mask itself: any model extending the restriction is a
+    seeded with the mask itself: any model extending the restriction gives a
     valid certificate, and None does not depend on the phase, so verdicts,
     witnesses and counters cannot move.  A solve depends only on its
     assumptions and its phase, and the phase is a pure function of the
@@ -578,10 +603,10 @@ def _model_certifier(phi: CnfFormula) -> Callable[[int], int | None]:
     def solve(mask: int) -> int | None:
         if not mask:
             least = is_satisfiable(phi)
-            return None if least is None else _model_mask(least.values())
+            return None if least is None else _implicant_mask(phi, least.values())
         phase = random.Random(mask).getrandbits(width)
         model = solver().solve([var if val else -var for var, val in _fixes(mask)], phase)
-        return None if model is None else _model_mask(model)
+        return None if model is None else _implicant_mask(phi, model)
 
     return solve
 
@@ -598,11 +623,13 @@ def is_r_resilient(phi: CnfFormula, r: int) -> SatResilienceVerdict:
 
     ``is_satisfiable`` answers r = 0; above it one incremental solver
     serves the whole scan, each restriction pushed as assumptions.  Every
-    model found so far is kept, and the search over variable prefixes
-    solves only the restrictions that no kept model agrees with;
-    restrictions_checked is computed from the witness's rank.  Such hits
-    can never flip a verdict: the kept model is itself a model of the
-    restricted formula.
+    model found so far is kept as its implicant (``_implicant_mask``),
+    which leaves free each variable whose literals are no clause's first
+    true one, and the search over variable prefixes solves only the
+    restrictions that no kept implicant agrees with; restrictions_checked
+    is computed from the witness's rank.  Such hits can never flip a
+    verdict: every assignment that agrees with a kept implicant is a model
+    of the restricted formula.
     """
     if r < 0:
         raise InputError("r must be >= 0")
@@ -619,7 +646,7 @@ def max_sat_resilience(phi: CnfFormula) -> int | str:
     Returns SATURATED, without a search, exactly when every clause is a
     tautology, that is when phi survives fixing all num_vars variables; raises
     InputError for unsatisfiable input, which is not even 0-resilient.  One
-    certifier and one store of every model found serve the sweep from r = 0,
+    certifier and one store of every implicant found serve the sweep from r = 0,
     which stops at the first failing r or at w - 1, whichever comes first:
     fixing the w distinct variables of the narrowest non-tautological clause
     against it falsifies it, so phi is not w-resilient.

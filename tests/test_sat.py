@@ -665,13 +665,15 @@ def test_max_sat_resilience_matches_oracle():
 
 def test_model_cache_solver_calls_pinned(monkeypatch):
     """Perf gate: the model cache answers most restrictions of a blow-up scan
-    without a solve; a cache regression changes this count."""
+    without a solve; a cache regression changes this count.  Each kept
+    implicant leaves free every variable that supports no clause, so 4
+    solves cover the 144 restrictions (10 with whole models)."""
     calls = count_calls(monkeypatch, sat._Solver, "solve")
     propagations = count_calls(monkeypatch, sat._Solver, "_propagate")
     psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
     verdict = is_r_resilient(psi, 2)
     assert verdict.resilient and verdict.restrictions_checked == math.comb(9, 2) * 4
-    assert calls[0] == 10
+    assert calls[0] == 4
     assert calls[0] < verdict.restrictions_checked
     # every solve's phase assignment is a model: only the constructor propagates
     assert propagations[0] == 1
@@ -684,14 +686,14 @@ def test_max_sat_resilience_solver_calls_pinned(monkeypatch):
     propagations = count_calls(monkeypatch, sat._Solver, "_propagate")
     psi = blow_up(CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3), (1, -2, -3)]), 3)
     assert max_sat_resilience(psi) == 8
-    assert calls[0] == 406
+    assert calls[0] == 52
     # the solves whose phase assignment is a model run no propagation
-    assert propagations[0] == 84
+    assert propagations[0] == 36
 
 
 def test_searched_scan_pinned(monkeypatch):
     """Perf gate: a blow-up scan whose solves fall through to the DPLL
-    (16 solves, 125 propagations for 612 restrictions)."""
+    (8 solves, 65 propagations for 612 restrictions)."""
     calls = count_calls(monkeypatch, sat._Solver, "solve")
     propagations = count_calls(monkeypatch, sat._Solver, "_propagate")
     phi6 = CnfFormula.make(
@@ -699,8 +701,18 @@ def test_searched_scan_pinned(monkeypatch):
     )
     verdict = is_r_resilient(blow_up(phi6, 3), 2)
     assert verdict.resilient and verdict.restrictions_checked == 612
-    assert calls[0] == 16
-    assert propagations[0] == 125
+    assert calls[0] == 8
+    assert propagations[0] == 65
+
+
+def with_extra_clauses(rng, phi):
+    """phi, and for a third of the formulas also a clause that repeats a
+    literal, a tautology, or both."""
+    extra = []
+    if rng.random() < 1 / 3:
+        v, u = rng.randint(1, phi.num_vars), rng.randint(1, phi.num_vars)
+        extra = rng.choice([[(v, v, u)], [(v, -v, u)], [(v, v, u), (u, -v, v, -u)]])
+    return CnfFormula(phi.num_vars, phi.clauses + tuple(extra))
 
 
 def test_bounded_max_matches_unbounded_sweep(monkeypatch):
@@ -712,12 +724,7 @@ def test_bounded_max_matches_unbounded_sweep(monkeypatch):
     calls = count_calls(monkeypatch, sat._Solver, "solve")
     rng = random.Random(47)
     for _ in range(600):
-        phi = random_cnf(rng, max_vars=6, max_clauses=5, max_width=4)
-        extra = []
-        if rng.random() < 1 / 3:
-            v, u = rng.randint(1, phi.num_vars), rng.randint(1, phi.num_vars)
-            extra = rng.choice([[(v, v, u)], [(v, -v, u)], [(v, v, u), (u, -v, v, -u)]])
-        phi = CnfFormula(phi.num_vars, phi.clauses + tuple(extra))
+        phi = with_extra_clauses(rng, random_cnf(rng, max_vars=6, max_clauses=5, max_width=4))
         r = next((r for r in range(phi.num_vars + 1) if not is_r_resilient(phi, r).resilient), None)
         if r is None:
             expect = SATURATED
@@ -1095,13 +1102,26 @@ def test_propagate_matches_reference_closure():
 def test_chain_scan_at_r1_pinned(monkeypatch):
     """Perf gate: the r = 1 scan of the r = 3 chain of a satisfiable
     8-clause formula (28,688 variables) checks 57,376 restrictions with
-    15 solves."""
+    12 solves."""
     phi8 = CnfFormula.make(4, [*itertools.islice(itertools.product((1, -1), (2, -2), (3, -3)), 7), (1, 2, 4)])
     psi = hardness_chain(3, phi8)
     calls = count_calls(monkeypatch, sat._Solver, "solve")
     verdict = is_r_resilient(psi, 1)
     assert verdict.resilient and verdict.restrictions_checked == 57_376
-    assert calls[0] == 15
+    assert calls[0] == 12
+
+
+def test_chain_lemma_scan_at_r3_pinned(monkeypatch):
+    """Perf gate: the r = 3 chain of (x1 or x2 or x3)(not x1 or not x2 or
+    x3), 124 variables, survives all 2,480,992 restrictions of 3 variables
+    with 44 solves.  A kept implicant leaves most variables free, so the
+    prefix walk drops whole prefixes (93 solves with whole models)."""
+    psi = hardness_chain(3, CnfFormula.make(3, [(1, 2, 3), (-1, -2, 3)]))
+    calls = count_calls(monkeypatch, sat._Solver, "solve")
+    verdict = is_r_resilient(psi, 3)
+    assert psi.num_vars == 124
+    assert verdict.resilient and verdict.restrictions_checked == 2_480_992
+    assert calls[0] == 44
 
 
 def top_heavy_cnf(rng):
@@ -1256,16 +1276,49 @@ def test_library_formulas_skip_the_literal_check(monkeypatch):
     assert calls == [2]
 
 
+def model_mask(model):
+    """A whole model as a literal mask, bit 2*(variable-1) + value: the
+    certificate of a scan that keeps each model whole, the reference for the
+    scan's implicant masks."""
+    # variable v's two bits read "10" when it is true and "01" when false,
+    # the last variable's pair first
+    return int("".join(["10" if val else "01" for val in reversed(model)]) or "0", 2)
+
+
+def satisfied_cnf(rng, model, clauses):
+    """Random clauses of one to three literals over the model's variables,
+    each holding at least one literal the model makes true."""
+    n = len(model)
+    made = []
+    for _ in range(clauses):
+        clause = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+        var = rng.randint(1, n)
+        clause.insert(rng.randint(0, len(clause)), var if model[var - 1] else -var)
+        made.append(tuple(clause))
+    return CnfFormula(n, tuple(made))
+
+
 def test_model_mask_matches_the_shift_sum():
-    """_model_mask, built from one binary digit string, equals the plain
-    sum of shifted bits, from no variable to more than 100,000 bits."""
+    """_implicant_mask, built from one binary digit string, equals the plain
+    sum of shifted bits: the model literal of each variable whose literal is
+    the first true one of some clause, and both literals of every other
+    variable, from no variable to more than 100,000 bits.  The reference
+    model_mask is the same sum over every variable's model literal."""
     rng = random.Random(49)
     for n in (0, 1, 2, 129, 50_001):
         model = [rng.random() < 0.5 for _ in range(n)]
         for values in (model, [False] * n, [True] * n):
-            expected = sum(1 << (2 * var + val) for var, val in enumerate(values))
-            assert sat._model_mask(values) == expected
-            assert sat._model_mask(dict(enumerate(values, start=1)).values()) == expected
+            assert model_mask(values) == sum(1 << (2 * var + val) for var, val in enumerate(values))
+            for clauses in (0, 1, n // 3) if n else (0,):
+                phi = satisfied_cnf(rng, values, clauses)
+                supports = {
+                    abs(next(lit for lit in cl if (lit > 0) == values[abs(lit) - 1])) for cl in phi.clauses
+                }
+                expected = sum(
+                    1 << (2 * var + val) if var + 1 in supports else 3 << 2 * var
+                    for var, val in enumerate(values)
+                )
+                assert sat._implicant_mask(phi, values) == expected
 
 
 def test_zero_resilience_runs_is_satisfiable(monkeypatch):
@@ -1325,13 +1378,13 @@ def test_clause_bound():
 
 
 def least_model_certifier(phi):
-    """The scan's certifier with every decision False: each model is the
-    least one extending its restriction."""
+    """The scan's certifier with every decision False, keeping whole models:
+    each model is the least one extending its restriction."""
     solver = sat._Solver(phi)
 
     def solve(mask):
         model = solver.solve([var if val else -var for var, val in sat._fixes(mask)])
-        return None if model is None else sat._model_mask(model)
+        return None if model is None else model_mask(model)
 
     return solve
 
@@ -1368,3 +1421,72 @@ def test_phase_changes_no_answer(monkeypatch):
         seen["witness"] += sum(v.witness is not None for v in phased[0])
         seen["saturated"] += phased[1] == SATURATED
     assert min(seen.values()) > 0, seen
+
+
+def test_implicants_change_no_answer(monkeypatch):
+    """Keeping each model's implicant rather than the whole model moves no
+    answer: on 3,000 random formulas, repeated literals and tautologies
+    included, the verdicts, witnesses and restrictions_checked of the scans
+    at r = 0..3 and the max sweep's value equal those of scans that keep
+    whole models (model_mask), with fewer solves in all."""
+    calls = count_calls(monkeypatch, sat._Solver, "solve")
+    rng = random.Random(53)
+    solves = [0, 0]
+    seen = {"resilient": 0, "witness": 0, "saturated": 0, "raises": 0}
+
+    def answers(phi, slot):
+        calls[0] = 0
+        verdicts = [is_r_resilient(phi, r) for r in range(4)]
+        try:
+            best = max_sat_resilience(phi)
+        except ValueError:
+            best = "raises"
+        solves[slot] += calls[0]
+        return verdicts, best
+
+    for _ in range(3000):
+        phi = with_extra_clauses(rng, random_cnf(rng, max_vars=7, max_clauses=8, max_width=4))
+        implicant = answers(phi, 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(sat, "_implicant_mask", lambda phi, model: model_mask(model))
+            assert answers(phi, 1) == implicant
+        seen["resilient"] += sum(v.resilient for v in implicant[0])
+        seen["witness"] += sum(v.witness is not None for v in implicant[0])
+        seen["saturated"] += implicant[1] == SATURATED
+        seen["raises"] += implicant[1] == "raises"
+    assert min(seen.values()) > 0, seen
+    assert solves[0] < solves[1], solves
+
+
+def test_kept_implicants_are_models():
+    """Every assignment inside a kept certificate's mask is a model: the
+    certificates kept by scans at r = 0..3, carried in one store, are
+    checked against the brute-force truth table on random formulas of up
+    to 8 variables, repeated literals and tautologies included.  A
+    variable is free in a certificate when both its literals are in it."""
+    rng = random.Random(59)
+    kept = free = 0
+    for _ in range(400):
+        phi = with_extra_clauses(rng, random_cnf(rng, max_vars=8, max_clauses=10, max_width=4))
+        n = phi.num_vars
+        table = sat_table(phi)
+        if not table.any():
+            continue
+        idx = np.arange(1 << n, dtype=np.uint32)
+        store = sat._CertificateStore(n, 2)
+        solve = sat._model_certifier(phi)
+        for r in range(4):
+            sat._first_uncovered(store, r, solve)
+        for complement in store.complements:
+            cert = store.universe & ~complement
+            inside = np.ones(1 << n, dtype=bool)
+            for var in range(n):
+                pair = cert >> 2 * var & 3
+                assert pair, "a certificate holds a literal of every variable"
+                if pair == 3:
+                    free += 1
+                else:
+                    inside &= (idx >> var & 1) == pair - 1
+            assert table[inside].all()
+            kept += 1
+    assert kept and free
